@@ -158,7 +158,7 @@ class TailModel:
 
     Wraps a DistributionSpec together with its threshold tail description
     (theta, M1, M2) and exposes the derived quantities used by the second
-    assembly: b_t, R_t, r_t, delta_n.
+    assembly: b_t, r_t, delta_n.
     """
 
     spec: DistributionSpec
@@ -201,10 +201,6 @@ class TailModel:
 
     def b_t(self, t: float, n: int) -> float:
         return self.ell(n) ** (1.0 / self.alpha) * t + self.mean
-
-    def R_t(self, t: float, n: int) -> float:
-        b = self.b_t(t, n)
-        return 0.5 * b ** -self.alpha * (1.0 + self.m1(b)) * (1.0 + self.m2(b)) * self.mean
 
     def r_t(self, t: float, n: int) -> float:
         b = self.b_t(t, n)
@@ -296,9 +292,7 @@ def bound_main(spec: DistributionSpec, alpha: float, n: int, N: float, gamma: fl
             f"N = inf is not admissible for {spec.describe()}: "
             "the truncated terms have no finite limit"
         )
-    if spec.mean == 0.0:
-        pass
-    elif not math.isfinite(spec.mean):
+    if not math.isfinite(spec.mean):
         raise DomainError("summand law must have a finite first moment")
     disc = discrepancy_l1(spec, alpha, n, N, backend=backend)
     if math.isinf(N):

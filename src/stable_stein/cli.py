@@ -15,8 +15,8 @@ Conventions
 * CSV uses '.' decimals, no locale, fixed column order, and a fixed
   10-significant-digit float format, so written files parse and re-emit
   identically.
-* exit codes: 0 success, 2 usage error, 1 numeric failure (a JSON error
-  object is printed to stdout in that case).
+* exit codes: 0 success, 2 usage error, 1 numeric failure; on either
+  failure a JSON error object is printed to stdout.
 
 Parallelism is capped by the STABLE_STEIN_THREADS environment variable.
 """
@@ -61,6 +61,31 @@ def _parse_grid(text: str):
     if not vals:
         raise DomainError("empty grid")
     return vals
+
+
+def _parse_count(text) -> float:
+    """A count such as n or m: any spelling of an integer (1000, 1e6)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value == int(value)):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return value
+
+
+def _parse_count_grid(text: str):
+    return [_parse_count(v) for v in _parse_grid(text)]
+
+
+def _parse_seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer seed, got {text!r}") from None
+    if not (0 <= value < 2 ** 64):
+        raise argparse.ArgumentTypeError(f"seed must lie in [0, 2**64), got {value}")
+    return value
 
 
 def _parse_n_value(text: str) -> float:
@@ -287,8 +312,18 @@ def _add_spec_flags(p):
     p.add_argument("--x0", type=float, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors keep the output contract: a JSON error object on stdout,
+    the usage text on stderr, exit code 2."""
+
+    def error(self, message):
+        print(json.dumps({"error": "UsageError", "message": message}, sort_keys=True))
+        self.print_usage(sys.stderr)
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="stable-stein",
         description="Explicit stable-approximation bounds and their Monte-Carlo validation",
     )
@@ -301,19 +336,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("table3", help="power-law bound totals on the gamma x alpha grid")
-    p.add_argument("--n", type=float, default=10 ** 6)
+    p.add_argument("--n", type=_parse_count, default=10 ** 6)
     p.add_argument("--alpha-grid", type=_parse_grid, default=DEFAULT_ALPHAS)
     p.add_argument("--gamma-grid", type=_parse_grid, default=DEFAULT_GAMMAS)
     _add_common(p)
 
     p = sub.add_parser("figure1", help="optimal gamma curves for the four reference cases")
-    p.add_argument("--n", type=float, default=10 ** 6)
+    p.add_argument("--n", type=_parse_count, default=10 ** 6)
     _add_common(p)
 
     p = sub.add_parser("bound", help="assembled bound report for one configuration")
     _add_spec_flags(p)
     p.add_argument("--gamma", type=float, default=0.9)
-    p.add_argument("--n", type=float, default=10 ** 6)
+    p.add_argument("--n", type=_parse_count, default=10 ** 6)
     p.add_argument("--N", type=_parse_n_value, default="auto")
     _add_common(p)
 
@@ -323,19 +358,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="one empirical W1 experiment row")
     _add_spec_flags(p)
-    p.add_argument("--n", type=float, default=10 ** 4)
-    p.add_argument("--m", type=float, default=10 ** 5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_parse_count, default=10 ** 4)
+    p.add_argument("--m", type=_parse_count, default=10 ** 5)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--estimator", default="bias_corrected",
                    choices=["one_sample_quantile", "two_sample", "bias_corrected"])
     _add_common(p)
 
     p = sub.add_parser("rate-fit", help="empirical rate fit over an n grid")
     _add_spec_flags(p)
-    p.add_argument("--n-grid", type=_parse_grid,
+    p.add_argument("--n-grid", type=_parse_count_grid,
                    default=[100, 316, 1000, 3162, 10000])
-    p.add_argument("--m", type=float, default=10 ** 5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--m", type=_parse_count, default=10 ** 5)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--estimator", default="bias_corrected",
                    choices=["one_sample_quantile", "two_sample", "bias_corrected"])
     _add_common(p)
@@ -351,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--K0", type=float, default=None)
     p.add_argument("--x0", type=float, default=None)
-    p.add_argument("--n", type=float, default=10 ** 6)
+    p.add_argument("--n", type=_parse_count, default=10 ** 6)
     _add_common(p)
 
     return ap
@@ -378,20 +413,25 @@ def _echo_config(args) -> None:
     print("CONFIG " + json.dumps(cfg, sort_keys=True), file=sys.stderr)
 
 
-def _apply_config_file(argv):
+def _apply_config_file(argv, ap):
     """Expand --config FILE into flags; explicit flags still win (they come
     last, and argparse keeps the final occurrence)."""
-    if "--config" not in argv:
-        return argv
     idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        ap.error("argument --config: expected a path")
     path = argv[idx + 1]
-    with open(path) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        ap.error(f"argument --config: cannot read {path}: {exc}")
+    if not isinstance(cfg, dict):
+        ap.error(f"argument --config: {path} does not hold a JSON object")
     user = argv[:idx] + argv[idx + 2:]
     have_command = bool(user) and not user[0].startswith("-")
     command = user[0] if have_command else cfg.get("command")
     if command is None:
-        raise SystemExit("config file carries no command and none was given")
+        ap.error("config file carries no command and none was given")
     user_rest = user[1:] if have_command else user
     flags = []
     for key, value in cfg.items():
@@ -411,7 +451,7 @@ def main(argv: Optional[list] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     if "--config" in argv:
-        argv = _apply_config_file(argv)
+        argv = _apply_config_file(argv, ap)
     args = ap.parse_args(argv)
     _echo_config(args)
     try:

@@ -18,11 +18,13 @@ unbounded higher derivatives (and l^theta may be singular for theta < 0).
 The innermost stub is integrated from the local power-law expansion.
 
 Pure evaluation is thread-safe.  The quantile cache is built once per
-(alpha, scale) and is read-only afterwards.
+(alpha, scale) and is read-only afterwards, apart from its memo of
+quantiles at cell nodes (see ``QuantileTable.cell_quantiles``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -317,6 +319,7 @@ class QuantileTable:
         xs, fs = xs[keep], fs[keep]
         self.u_hi = float(fs[-1])
         self._inv = PchipInterpolator(fs, xs, extrapolate=False)
+        self.cell_quantiles = functools.lru_cache(maxsize=4)(self._cell_quantiles)
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
@@ -328,6 +331,31 @@ class QuantileTable:
         x[out] = (self.tail_c / (1.0 - v[out])) ** (1.0 / self.alpha)
         x = np.where(u >= 0.5, x, -x) * self.sigma_root
         return x if x.ndim else float(x)
+
+    def _cell_quantiles(self, m: int):
+        """Q at the 4-point Gauss-Legendre nodes of the cells [(i-1)/m, i/m] it covers.
+
+        Returns (i_lo, i_hi, q, w): the covered cells i_lo..i_hi (1-based),
+        q of shape (cells, 4), and the rule weights scaled to one cell.
+        The first and last cell are never covered: they hold the quantile
+        singularity, where a fixed Gauss rule underestimates.  Exposed as
+        ``cell_quantiles``, memoized for the last few m: a
+        one-sample W1 statistic and its jackknife use only a few sizes.
+        """
+        i_lo = int(math.ceil((1.0 - self.u_hi) * m)) + 1    # first fully covered cell
+        i_hi = int(math.floor(self.u_hi * m))               # last fully covered cell
+        i_lo = min(max(i_lo, 2), m + 1)
+        i_hi = min(i_hi, m - 1)
+        nodes, weights = np.polynomial.legendre.leggauss(4)
+        width = 1.0 / m
+        q = np.empty((0, 4))
+        if i_hi >= i_lo:
+            left = (np.arange(i_lo - 1, i_hi)) / m
+            u_nodes = left[:, None] + width * 0.5 * (nodes[None, :] + 1.0)
+            q = self(u_nodes.ravel()).reshape(u_nodes.shape)
+        w = weights * width * 0.5
+        q.flags.writeable = w.flags.writeable = False    # shared by every caller
+        return i_lo, i_hi, q, w
 
 
 _table_cache: dict = {}
@@ -345,12 +373,3 @@ def quantile_table(alpha: float, scale: float = 1.0) -> QuantileTable:
                 tab = QuantileTable(alpha, scale)
                 _table_cache[key] = tab
     return tab
-
-
-def density_grid(law: StableLaw, xs) -> np.ndarray:
-    """Density on a grid of points (convenience for table/CSV export)."""
-    return np.array([density(law, float(x)) for x in xs])
-
-
-def cdf_grid(law: StableLaw, xs) -> np.ndarray:
-    return np.array([cdf(law, float(x)) for x in xs])

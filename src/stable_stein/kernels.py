@@ -153,6 +153,10 @@ class DistributionSpec:
         return False
 
     # -- sampling ---------------------------------------------------------
+    # True when sample(rng, k) is a prefix of sample(rng, n) for k <= n on
+    # the same stream, so one draw at the largest n serves every smaller n
+    prefix_consistent = False
+
     def ppf(self, u):
         raise NotImplementedError
 
@@ -214,10 +218,15 @@ class Pareto(DistributionSpec):
     def supports_infinite_truncation(self) -> bool:
         return True
 
+    prefix_consistent = True
+
     def ppf(self, u):
+        # one power per draw, and no data-dependent branch: 2 min(u, 1-u)
+        # and the sign of u - 1/2 pick the same operands as the two-sided
+        # formula, bit for bit
         u = np.asarray(u, dtype=float)
-        out = np.where(u < 0.5, -(2.0 * u) ** (-1.0 / self.alpha),
-                       (2.0 * (1.0 - u)) ** (-1.0 / self.alpha))
+        v = (2.0 * np.minimum(u, 1.0 - u)) ** (-1.0 / self.alpha)
+        out = np.copysign(v, u - 0.5)
         return out if out.ndim else float(out)
 
     def describe(self) -> str:

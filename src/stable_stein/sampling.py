@@ -10,6 +10,15 @@ n, m) regardless of how replicates are scheduled across threads.  Reference
 draws from the stable target use separate kinds, never colliding with
 summand streams.
 
+The replicate loop does not build a generator per replicate: each worker
+owns one Philox and re-keys it (key as above, counter 0, empty buffer) for
+every replicate, which yields the same streams as ``substream`` at a
+fraction of the set-up cost.  A family whose ``sample`` works element by
+element (``prefix_consistent``) draws the same first k values of a stream
+whatever the size asked for, so ``fit_rate`` draws each replicate once, at
+the largest n of its grid, and sums prefixes of it for the smaller n.  The
+sums are bit-identical to separate ``sample_sum`` calls.
+
 Estimators
 ----------
 one_sample_quantile   integral over u of |F_m^{-1}(u) - Q(u)| cellwise, with
@@ -46,6 +55,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -85,14 +95,42 @@ STREAM_GENERIC = 5
 _INDEX_BITS = 48
 
 
-def substream(seed: int, kind: int, index: int = 0) -> Generator:
-    """Independent keyed Philox stream for (seed, kind, index)."""
+def _stream_key(seed: int, kind: int, index: int) -> list:
     if not (0 <= seed < 2 ** 64):
         raise DomainError(f"seed must fit in 64 unsigned bits, got {seed}")
     if not (0 <= index < 2 ** _INDEX_BITS):
         raise DomainError(f"stream index out of range: {index}")
-    key = np.array([seed, (kind << _INDEX_BITS) + index], dtype=np.uint64)
+    return [seed, (kind << _INDEX_BITS) + index]
+
+
+def substream(seed: int, kind: int, index: int = 0) -> Generator:
+    """Independent keyed Philox stream for (seed, kind, index)."""
+    key = np.array(_stream_key(seed, kind, index), dtype=np.uint64)
     return Generator(Philox(key=key))
+
+
+def _restream(seed: int, kind: int):
+    """One Philox stepped through the streams (seed, kind, index) of one kind.
+
+    Builds ``substream(seed, kind, 0)`` once; the returned ``seek(index)``
+    re-keys its bit generator (key as above, counter 0, empty buffer) and
+    returns it in the same state as ``substream(seed, kind, index)``, without
+    building and seeding a new bit generator per index.  Not thread-safe:
+    each worker owns one.
+    """
+    rng = substream(seed, kind, 0)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": _stream_key(seed, kind, 0)},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+
+    def seek(index: int) -> Generator:
+        state["state"]["key"] = _stream_key(seed, kind, index)
+        rng.bit_generator.state = state
+        return rng
+
+    return seek
 
 
 def resolve_threads(threads: Optional[int] = None) -> int:
@@ -151,7 +189,14 @@ class SampleBatch:
 
 
 _CHUNK = 1 << 15
+_BLOCK = 256          # replicates drawn into one row block
 _FLOOR_BATCHES = 5
+
+# Bias floors of the fit_rate call in progress, keyed by everything they
+# depend on; None outside a fit.  A context variable keeps the floors of
+# concurrent fits in other threads apart and leaves empirical_w1's
+# signature alone; nothing is kept once the fit returns.
+_fit_floors: ContextVar[Optional[dict]] = ContextVar("_fit_floors", default=None)
 
 
 def _compensated_row_sums(x: np.ndarray) -> np.ndarray:
@@ -163,31 +208,36 @@ def _compensated_row_sums(x: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(col) for col in np.column_stack(parts)])
 
 
-def sample_sum(spec: DistributionSpec, n: int, m: int, seed: int,
-               threads: Optional[int] = None) -> SampleBatch:
-    """m independent realizations of S_n = ell^{-1/alpha} sum (xi_i - E xi).
+def _sample_sums(spec: DistributionSpec, ns: Sequence[int], m: int, seed: int,
+                 threads: Optional[int] = None) -> list:
+    """One SampleBatch per n of ns, all with the same m and seed.
 
-    Replicate r draws its n summands from substream (seed, SUMMANDS, r);
-    the replicate loop may be split over threads without changing a bit of
-    the output.
+    Replicate r draws from stream (seed, SUMMANDS, r).  A prefix-consistent
+    family draws each replicate once, at max(ns), and every n sums a prefix
+    of the same row; other families draw once per n.
     """
-    if n < 1 or m < 1:
-        raise DomainError(f"sample_sum requires n >= 1 and m >= 1, got n={n}, m={m}")
+    if min(ns) < 1 or m < 1:
+        raise DomainError(f"sample_sum requires n >= 1 and m >= 1, got n={min(ns)}, m={m}")
     alpha = spec.alpha
-    ell = spec.ell(n)
-    scale = ell ** (-1.0 / alpha)
+    scales = [spec.ell(n) ** (-1.0 / alpha) for n in ns]
     mu = spec.mean
-    out = np.empty(m, dtype=float)
+    outs = [np.empty(m, dtype=float) for _ in ns]
+    if spec.prefix_consistent:
+        passes = [(max(ns), range(len(ns)))]
+    else:
+        passes = [(n, (i,)) for i, n in enumerate(ns)]
 
     def run_range(r0: int, r1: int):
-        block = 256
-        for b0 in range(r0, r1, block):
-            b1 = min(b0 + block, r1)
-            rows = np.empty((b1 - b0, n), dtype=float)
-            for r in range(b0, b1):
-                rng = substream(seed, STREAM_SUMMANDS, r)
-                rows[r - b0] = spec.sample(rng, n)
-            out[b0:b1] = scale * (_compensated_row_sums(rows) - n * mu)
+        seek = _restream(seed, STREAM_SUMMANDS)
+        for width, targets in passes:
+            for b0 in range(r0, r1, _BLOCK):
+                b1 = min(b0 + _BLOCK, r1)
+                rows = np.empty((b1 - b0, width), dtype=float)
+                for r in range(b0, b1):
+                    rows[r - b0] = spec.sample(seek(r), width)
+                for i in targets:
+                    n = ns[i]
+                    outs[i][b0:b1] = scales[i] * (_compensated_row_sums(rows[:, :n]) - n * mu)
 
     workers = resolve_threads(threads)
     if workers > 1 and m >= 4 * workers:
@@ -198,14 +248,28 @@ def sample_sum(spec: DistributionSpec, n: int, m: int, seed: int,
     else:
         run_range(0, m)
 
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
-        raise NonFiniteSampleError(
-            f"{bad.size} of {m} replicates produced non-finite sums "
-            f"(first indices {bad[:5].tolist()})",
-            indices=bad.tolist(),
-        )
-    return SampleBatch(spec=spec, n=n, m=m, seed=seed, values=np.sort(out))
+    for out in outs:
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            raise NonFiniteSampleError(
+                f"{bad.size} of {m} replicates produced non-finite sums "
+                f"(first indices {bad[:5].tolist()})",
+                indices=bad.tolist(),
+            )
+        out.sort()
+    return [SampleBatch(spec=spec, n=n, m=m, seed=seed, values=out)
+            for n, out in zip(ns, outs)]
+
+
+def sample_sum(spec: DistributionSpec, n: int, m: int, seed: int,
+               threads: Optional[int] = None) -> SampleBatch:
+    """m independent realizations of S_n = ell^{-1/alpha} sum (xi_i - E xi).
+
+    Replicate r draws its n summands from substream (seed, SUMMANDS, r);
+    the replicate loop may be split over threads without changing a bit of
+    the output.
+    """
+    return _sample_sums(spec, [n], m, seed, threads)[0]
 
 
 @dataclass(frozen=True)
@@ -221,26 +285,16 @@ class EmpiricalW1Result:
 
 
 def _one_sample_value(sorted_vals: np.ndarray, table: QuantileTable,
-                      tail_c: float, alpha: float, gauss_order: int = 4) -> float:
+                      tail_c: float, alpha: float) -> float:
     """integral of |F_m^{-1}(u) - Q(u)| du for a sorted sample."""
     m = sorted_vals.size
-    # cells fully covered by the interpolation table; the first and last
-    # cell always go through the closed-form tail (they contain the
-    # quantile singularity, where a fixed Gauss rule underestimates)
-    u_cov = table.u_hi
-    i_lo = int(math.ceil((1.0 - u_cov) * m)) + 1    # first fully covered cell
-    i_hi = int(math.floor(u_cov * m))               # last fully covered cell
-    i_lo = min(max(i_lo, 2), m + 1)
-    i_hi = min(i_hi, m - 1)
+    # a Gauss rule on the cells the table covers; the first and last cell
+    # always go through the closed-form tail below
+    i_lo, i_hi, q, w = table.cell_quantiles(m)
     total = 0.0
     if i_hi >= i_lo:
         vals = sorted_vals[i_lo - 1:i_hi]
-        nodes, weights = np.polynomial.legendre.leggauss(gauss_order)
-        left = (np.arange(i_lo - 1, i_hi)) / m
-        width = 1.0 / m
-        u_nodes = left[:, None] + width * 0.5 * (nodes[None, :] + 1.0)
-        q = table(u_nodes.ravel()).reshape(u_nodes.shape)
-        cell = np.abs(vals[:, None] - q) @ (weights * width * 0.5)
+        cell = np.abs(vals[:, None] - q) @ w
         total += float(cell.sum())
 
     # tail cells: closed-form integration against Q(u) = +-(c/v)^{1/alpha}
@@ -284,18 +338,49 @@ def _jackknife_blocks(m: int, seed: int, k: int = 20) -> np.ndarray:
     return labels
 
 
+def _bias_floors(target: StableLaw, tab: QuantileTable, seed: int,
+                 blocks: np.ndarray, k: int) -> tuple:
+    """The bias floor and its k delete-one-block jackknife values.
+
+    The floor is the one-sample statistic on independent samples of the
+    batch's size drawn from the target itself.  Its sampling distribution
+    is right-skewed (rare extreme order statistics inflate the mean), so
+    the median of a few draws is used: it matches the typical realization,
+    where the mean would over-correct and clamp genuine signal to zero.
+    """
+    m = blocks.size
+    tail_c = target.tail_coefficient
+    samples = [
+        np.sort(target.sigma_root * sample_stable(target.alpha,
+                                                  substream(seed, STREAM_FLOOR_A, j), m))
+        for j in range(_FLOOR_BATCHES)
+    ]
+
+    def median_value(keep):
+        return float(np.median([
+            _one_sample_value(f if keep is None else f[keep], tab, tail_c, target.alpha)
+            for f in samples
+        ]))
+
+    return median_value(None), [median_value(blocks != j) for j in range(k)]
+
+
+def _check_w1_args(m: int, estimator: str, target: StableLaw, alpha: float) -> None:
+    if m < 100:
+        raise DomainError(f"m = {m} is too small for a usable estimate (need >= 100)")
+    if estimator not in ("one_sample_quantile", "two_sample", "bias_corrected"):
+        raise DomainError(f"unknown estimator {estimator!r}")
+    if abs(target.alpha - alpha) > 1e-12:
+        raise DomainError("target alpha disagrees with the batch's summand law")
+
+
 def empirical_w1(batch: SampleBatch, target: StableLaw,
                  estimator: str = "bias_corrected", *,
                  table: Optional[QuantileTable] = None,
                  jackknife_k: int = 20) -> EmpiricalW1Result:
     """Empirical W1 distance between the batch and the stable target."""
     m = batch.m
-    if m < 100:
-        raise DomainError(f"m = {m} is too small for a usable estimate (need >= 100)")
-    if estimator not in ("one_sample_quantile", "two_sample", "bias_corrected"):
-        raise DomainError(f"unknown estimator {estimator!r}")
-    if abs(target.alpha - batch.alpha) > 1e-12:
-        raise DomainError("target alpha disagrees with the batch's summand law")
+    _check_w1_args(m, estimator, target, batch.alpha)
     vals = batch.values
     blocks = _jackknife_blocks(m, batch.seed, jackknife_k)
     sig = target.sigma_root
@@ -323,32 +408,24 @@ def empirical_w1(batch: SampleBatch, target: StableLaw,
         ref_m = m
         floor = 0.0
     else:
-        # floor-corrected one-sample statistic.  The floor is the same
-        # statistic on independent samples drawn from the target itself;
-        # its sampling distribution is right-skewed (rare extreme order
-        # statistics inflate the mean), so the median of a few draws is
-        # used: it matches the typical realization, where the mean would
-        # over-correct and clamp genuine signal to zero.
+        # floor-corrected one-sample statistic (see _bias_floors).  Inside
+        # fit_rate the floors against the shared table are computed once:
+        # they do not depend on n.
         tab = table or quantile_table(target.alpha, target.scale)
         tail_c = target.tail_coefficient
-        floors = [
-            np.sort(sig * sample_stable(target.alpha,
-                                        substream(batch.seed, STREAM_FLOOR_A, j), m))
-            for j in range(_FLOOR_BATCHES)
-        ]
-        floor = float(np.median([
-            _one_sample_value(f, tab, tail_c, target.alpha) for f in floors
-        ]))
+        memo = _fit_floors.get()
+        if memo is None or table is not None:
+            memo = {}
+        key = (target.alpha, target.scale, batch.seed, m, jackknife_k)
+        if key not in memo:
+            memo[key] = _bias_floors(target, tab, batch.seed, blocks, jackknife_k)
+        floor, floor_jk = memo[key]
         raw = _one_sample_value(vals, tab, tail_c, target.alpha)
         est = max(raw - floor, 0.0)
 
         def block_est(j):
-            keep = blocks != j
-            raw_j = _one_sample_value(vals[keep], tab, tail_c, target.alpha)
-            floor_j = float(np.median([
-                _one_sample_value(f[keep], tab, tail_c, target.alpha) for f in floors
-            ]))
-            return max(raw_j - floor_j, 0.0)
+            raw_j = _one_sample_value(vals[blocks != j], tab, tail_c, target.alpha)
+            return max(raw_j - floor_jk[j], 0.0)
 
         ref_m = m
 
@@ -380,6 +457,13 @@ def fit_rate(spec: DistributionSpec, alpha: float, n_grid: Sequence[int], m: int
     Replicate streams are shared across the grid (common random numbers),
     which lowers the variance of the fitted slope.  Non-positive corrected
     estimates are dropped from the fit and reported.
+
+    Each grid point's result equals ``empirical_w1(sample_sum(spec, n, m,
+    seed, threads), target, estimator)`` bit for bit, but the shared work is
+    done once: a prefix-consistent family draws each replicate once, at the
+    largest n, and every n sums a prefix of it; the bias floor and its
+    jackknife values, which do not depend on n, are computed at the first
+    grid point and reused.
     """
     if len(n_grid) < 4:
         raise DomainError("fit_rate needs at least 4 grid points")
@@ -388,19 +472,24 @@ def fit_rate(spec: DistributionSpec, alpha: float, n_grid: Sequence[int], m: int
     if abs(alpha - spec.alpha) > 1e-12:
         raise DomainError(f"alpha={alpha} disagrees with spec alpha={spec.alpha}")
     target = target or StableLaw(alpha)
+    _check_w1_args(m, estimator, target, alpha)     # before the grid is drawn
     results = []
     kept_logn = []
     kept_logw = []
     dropped = []
-    for n in n_grid:
-        batch = sample_sum(spec, int(n), m, seed, threads=threads)
-        res = empirical_w1(batch, target, estimator)
-        results.append(res)
-        if res.estimate > 0.0:
-            kept_logn.append(math.log(n))
-            kept_logw.append(math.log(res.estimate))
-        else:
-            dropped.append((int(n), "non-positive corrected estimate"))
+    batches = _sample_sums(spec, [int(n) for n in n_grid], m, seed, threads)
+    token = _fit_floors.set({})
+    try:
+        for n, batch in zip(n_grid, batches):
+            res = empirical_w1(batch, target, estimator)
+            results.append(res)
+            if res.estimate > 0.0:
+                kept_logn.append(math.log(n))
+                kept_logw.append(math.log(res.estimate))
+            else:
+                dropped.append((int(n), "non-positive corrected estimate"))
+    finally:
+        _fit_floors.reset(token)
     if len(kept_logn) < 2:
         raise DomainError("fewer than 2 usable points left after drops")
     slope, intercept = np.polyfit(kept_logn, kept_logw, 1)

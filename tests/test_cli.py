@@ -193,6 +193,54 @@ class TestOtherCommands:
         assert obj["target_exponent"] == pytest.approx(-1.0 / 3.0)
 
 
+class TestUsageErrors:
+    """Usage errors exit 2 with a JSON error object on stdout."""
+
+    def assert_usage_error(self, r, flag):
+        assert r.returncode == 2
+        obj = json.loads(r.stdout)
+        assert obj["error"] == "UsageError" and flag in obj["message"]
+        assert "Traceback" not in r.stderr
+
+    def test_config_without_path(self):
+        self.assert_usage_error(run_cli("simulate", "--config"), "--config")
+        self.assert_usage_error(run_cli("--config"), "--config")
+
+    def test_config_unreadable(self, tmp_path):
+        self.assert_usage_error(run_cli("--config", str(tmp_path / "missing.json")),
+                                "--config")
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        self.assert_usage_error(run_cli("--config", str(bad)), "--config")
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--n", "1.5"), ("--m", "300.5"), ("--n", "inf"), ("--n", "ten"),
+    ])
+    def test_non_integral_counts(self, flag, value):
+        args = {"--n": "200", "--m": "300"}
+        args[flag] = value
+        r = run_cli("simulate", "--n", args["--n"], "--m", args["--m"])
+        self.assert_usage_error(r, flag)
+
+    def test_non_integral_grid_point(self):
+        r = run_cli("rate-fit", "--n-grid", "100,200.5,400,800", "--m", "300")
+        self.assert_usage_error(r, "--n-grid")
+
+    def test_integral_spellings_accepted(self):
+        a = run_cli("simulate", "--n", "2e2", "--m", "300", "--seed", "4")
+        b = run_cli("simulate", "--n", "200", "--m", "300.0", "--seed", "4")
+        assert a.returncode == 0 and a.stdout == b.stdout
+        assert a.stdout.splitlines()[1].startswith("200,300,")
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), "1.5"])
+    def test_seed_out_of_range(self, seed):
+        r = run_cli("simulate", "--n", "200", "--m", "300", "--seed", seed)
+        self.assert_usage_error(r, "--seed")
+
+    def test_unknown_flag(self):
+        self.assert_usage_error(run_cli("bound", "--nonsense", "1"), "--nonsense")
+
+
 class TestInProcessMain:
     def test_main_returns_zero(self, capsys):
         rc = main(["constants", "--table", "1"])

@@ -65,6 +65,28 @@ class TestSummandLaws:
         assert p.ppf(0.25) == pytest.approx(-(2 * 0.25) ** (-1 / 1.5))
         assert p.ppf(0.875) == pytest.approx((2 * 0.125) ** (-1 / 1.5))
 
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    def test_pareto_ppf_bits_match_two_sided_formula(self, alpha):
+        # the one-power form must reproduce the formula that evaluates both
+        # branches, bit for bit, sign of zero and the u = 0 pole included
+        u = np.random.default_rng(17).random(200000)
+        u[:4] = [0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0)]
+        with np.errstate(divide="ignore"):
+            two_sided = np.where(u < 0.5, -(2.0 * u) ** (-1.0 / alpha),
+                                 (2.0 * (1.0 - u)) ** (-1.0 / alpha))
+            got = Pareto(alpha).ppf(u)
+        assert got.tobytes() == two_sided.tobytes()
+        for x in (0.3, 0.5, 0.7):
+            u0 = np.asarray(x)
+            want = np.where(u0 < 0.5, -(2.0 * u0) ** (-1.0 / alpha),
+                            (2.0 * (1.0 - u0)) ** (-1.0 / alpha))
+            assert Pareto(alpha).ppf(x) == float(want)
+
+    def test_pareto_prefix_consistent(self):
+        assert Pareto(1.5).prefix_consistent
+        assert not equal_weight_mp(1.5, 4.0).prefix_consistent
+        assert not HallTransform(a=0.3, b=0.24, c=0.2, alpha=1.5).prefix_consistent
+
     def test_modified_pareto_normalization_enforced(self):
         with pytest.raises(DomainError):
             ModifiedPareto(1.5, 4.0, A=1.0, B=1.0)

@@ -19,6 +19,7 @@ from stable_stein.sampling import (
     sample_summand,
     substream,
 )
+from stable_stein.sampling import _restream
 
 from reference_tables import ORACLE_ABS_MOMENT
 
@@ -44,6 +45,33 @@ class TestStreams:
     def test_seed_domain(self):
         with pytest.raises(DomainError):
             substream(-1, 0, 0)
+
+    def test_rekeyed_stream_equals_substream(self):
+        # one Philox re-keyed per replicate gives the streams substream
+        # builds, whatever the previous stream left in its buffer
+        for seed in (42, 2 ** 64 - 1):
+            seek = _restream(seed, STREAM_SUMMANDS)
+            for r in (0, 1, 7, 255, 256, 2 ** 48 - 1, 3):
+                want = substream(seed, STREAM_SUMMANDS, r)
+                got = seek(r)
+                assert np.array_equal(got.random(5), want.random(5)), r
+                assert got.integers(0, 2 ** 32, dtype=np.uint32) == \
+                    want.integers(0, 2 ** 32, dtype=np.uint32)
+                assert np.array_equal(got.standard_exponential(3),
+                                      want.standard_exponential(3))
+
+    def test_rekeyed_stream_domain(self):
+        with pytest.raises(DomainError):
+            _restream(-1, STREAM_SUMMANDS)
+        with pytest.raises(DomainError):
+            _restream(2 ** 64, STREAM_SUMMANDS)
+        seek = _restream(42, STREAM_SUMMANDS)
+        with pytest.raises(DomainError):
+            seek(2 ** 48)
+        with pytest.raises(DomainError):
+            seek(-1)
+        with pytest.raises(DomainError):
+            substream(42, STREAM_SUMMANDS, 2 ** 48)
 
 
 class TestSummandSamplers:
@@ -200,6 +228,42 @@ class TestEmpiricalW1:
 
 
 class TestFitRate:
+    @pytest.mark.parametrize("family", ["pareto", "mp_beta4"])
+    def test_per_n_equals_separate_calls(self, family, request):
+        # drawing once for the grid (Pareto) or once per n (the Newton-loop
+        # families), with the bias floor computed once, changes no bit of
+        # what separate sample_sum + empirical_w1 calls give
+        spec = request.getfixturevalue("pareto15" if family == "pareto" else family)
+        grid = [100, 200, 400, 800]
+        fit = fit_rate(spec, 1.5, grid, 3000, seed=5)
+        law = StableLaw(1.5)
+        for n, res in zip(grid, fit.per_n):
+            assert res == empirical_w1(sample_sum(spec, n, 3000, 5), law), n
+        assert fit.dropped == ((400, "non-positive corrected estimate"),)
+
+    @pytest.mark.parametrize("threads", [2, 5])
+    def test_thread_count_invariant(self, pareto15, threads):
+        grid = [100, 200, 400, 800]
+        f1 = fit_rate(pareto15, 1.5, grid, 2000, seed=7,
+                      estimator="one_sample_quantile", threads=1)
+        fk = fit_rate(pareto15, 1.5, grid, 2000, seed=7,
+                      estimator="one_sample_quantile", threads=threads)
+        assert f1 == fk
+
+    @pytest.mark.parametrize("kw", [{"m": 50}, {"estimator": "banana"},
+                                    {"target": StableLaw(1.4)}])
+    def test_estimator_arguments_checked_before_drawing(self, pareto15, kw, monkeypatch):
+        import stable_stein.sampling as smp
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew the grid before checking the arguments")
+
+        monkeypatch.setattr(smp, "_sample_sums", no_draws)
+        args = dict(m=200, seed=1)
+        args.update(kw)
+        with pytest.raises(DomainError):
+            smp.fit_rate(pareto15, 1.5, [100, 200, 400, 800], **args)
+
     def test_requires_four_points(self, pareto15):
         with pytest.raises(DomainError):
             fit_rate(pareto15, 1.5, [100, 1000, 10000], 200, seed=0)
