@@ -18,7 +18,8 @@ Conventions
 * exit codes: 0 success, 2 usage error, 1 numeric failure; on either
   failure a JSON error object is printed to stdout.
 
-Parallelism is capped by the STABLE_STEIN_THREADS environment variable.
+Parallelism is capped by the STABLE_STEIN_THREADS environment variable; a
+value that is not an integer is a usage error.
 """
 
 from __future__ import annotations
@@ -453,6 +454,10 @@ def main(argv: Optional[list] = None) -> int:
     if "--config" in argv:
         argv = _apply_config_file(argv, ap)
     args = ap.parse_args(argv)
+    try:
+        smp.resolve_threads()       # a bad thread cap is a usage error
+    except DomainError as exc:
+        ap.error(str(exc))
     _echo_config(args)
     try:
         lines = _DISPATCH[args.command](args)

@@ -75,11 +75,16 @@ class DistributionSpec:
 
     # -- tails ------------------------------------------------------------
     def tail_pos(self, x):
-        """P(xi > x) for x >= 0 (vectorized)."""
+        """P(xi > x) for x >= 0.
+
+        Vectorized over arrays; a float in gives a Python float out.  The
+        quadrature integrands call it one point at a time, so the scalar
+        path is the hot one.
+        """
         raise NotImplementedError
 
     def tail_neg(self, x):
-        """P(xi < -x) for x >= 0 (vectorized)."""
+        """P(xi < -x) for x >= 0, with the same contract as ``tail_pos``."""
         raise NotImplementedError
 
     def tail_abs(self, x):
@@ -166,6 +171,13 @@ class DistributionSpec:
     # -- misc ---------------------------------------------------------------
     def describe(self) -> str:
         return type(self).__name__
+
+
+def _map_scalar(rule, x):
+    """Apply a scalar rule elementwise; a 0-d input gives a Python float."""
+    xs = np.asarray(x, dtype=float)
+    out = np.array([rule(v) for v in xs.ravel().tolist()]).reshape(xs.shape)
+    return out if xs.ndim else float(out)
 
 
 def _check_alpha_12(alpha, who):
@@ -443,6 +455,7 @@ class LogPerturbedPareto(DistributionSpec):
 
     def __post_init__(self):
         _check_alpha_12(self.alpha, "LogPerturbedPareto")
+        object.__setattr__(self, "_thresholds", {})     # n -> A_n
         K0, x0 = self.K0, self.x0
         if K0 is None and x0 is None:
             raise DomainError("LogPerturbedPareto needs K0 or x0")
@@ -505,8 +518,12 @@ class LogPerturbedPareto(DistributionSpec):
         return self.x0
 
     def solve_threshold(self, n: int) -> float:
-        """A_n with n / A_n^alpha = 1/(K0 (log A_n)^beta)."""
-        return solve_log_tail_scale(self.K0, self.x0, self.alpha, self.beta, n).value
+        """A_n with n / A_n^alpha = 1/(K0 (log A_n)^beta), solved once per n."""
+        a_n = self._thresholds.get(n)
+        if a_n is None:
+            a_n = solve_log_tail_scale(self.K0, self.x0, self.alpha, self.beta, n).value
+            self._thresholds[n] = a_n
+        return a_n
 
     def ell(self, n: int) -> float:
         a_n = self.solve_threshold(n)
@@ -583,17 +600,17 @@ class GeneralTail(DistributionSpec):
     def _model_neg(self, x: float) -> float:
         return (1.0 - self.m1_fn(x)) / 2.0 * (1.0 + self.m2_fn(x)) * self.theta_scale * x ** -self.alpha
 
+    # Each rule below is scalar; arrays map it.  float(x) keeps the
+    # arithmetic in Python floats for an np.float64 argument too.
     def tail_pos(self, x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.array([self._model_pos(max(float(v), self.A_thresh)) for v in xs])
-        out[xs < self.A_thresh] = self._model_pos(self.A_thresh)
-        return out if np.ndim(x) else float(out[0])
+        if isinstance(x, float):
+            return self._model_pos(max(float(x), self.A_thresh))
+        return _map_scalar(self.tail_pos, x)
 
     def tail_neg(self, x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.array([self._model_neg(max(float(v), self.A_thresh)) for v in xs])
-        out[xs < self.A_thresh] = self._model_neg(self.A_thresh)
-        return out if np.ndim(x) else float(out[0])
+        if isinstance(x, float):
+            return self._model_neg(max(float(x), self.A_thresh))
+        return _map_scalar(self.tail_neg, x)
 
     @property
     def theta(self) -> float:
@@ -604,14 +621,14 @@ class GeneralTail(DistributionSpec):
         return self.A_thresh
 
     def m1(self, x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.array([self.m1_fn(float(v)) for v in xs])
-        return out if np.ndim(x) else float(out[0])
+        if isinstance(x, float):
+            return float(self.m1_fn(float(x)))
+        return _map_scalar(self.m1, x)
 
     def m2(self, x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.array([self.m2_fn(float(v)) for v in xs])
-        return out if np.ndim(x) else float(out[0])
+        if isinstance(x, float):
+            return float(self.m2_fn(float(x)))
+        return _map_scalar(self.m2, x)
 
     @property
     def mean(self) -> float:
@@ -737,6 +754,10 @@ def abs_tail_moment_zeta(spec: DistributionSpec, n: int, N: float) -> float:
     return total
 
 
+# laws whose K1 has a closed form (the Pareto family)
+_CLOSED_K1 = (Pareto, ModifiedPareto, HallTransform)
+
+
 def _k_closed_two_term(spec, n: int, t, N: float):
     """Closed-form K1 for the Pareto / ModifiedPareto family (mean zero)."""
     alpha = spec.alpha
@@ -807,12 +828,9 @@ def k_function(spec: DistributionSpec, alpha: float, n: int, t, N: float,
         raise DomainError(f"k_function requires N > 0, got {N}")
     if backend not in ("auto", "closed_form", "quadrature"):
         raise DomainError(f"unknown backend {backend!r}")
-    closed_ok = isinstance(spec, (Pareto, ModifiedPareto, HallTransform))
-    if backend in ("auto", "closed_form") and closed_ok:
+    if backend in ("auto", "closed_form") and isinstance(spec, _CLOSED_K1):
         return _k_closed_two_term(spec, n, t, N)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    vals = np.array([_k_quadrature(spec, n, float(tt), N) for tt in t_arr])
-    return vals if np.ndim(t) else float(vals[0])
+    return _map_scalar(lambda tt: _k_quadrature(spec, n, tt, N), t)
 
 
 def k_function_mc(spec: DistributionSpec, alpha: float, n: int, t: float, N: float,
@@ -891,9 +909,10 @@ def _discrepancy_quadrature(spec: DistributionSpec, n: int, N: float,
     alpha = spec.alpha
     da = d_alpha(alpha)
     ell = spec.ell(n)
+    k1 = _k_closed_two_term if isinstance(spec, _CLOSED_K1) else _k_quadrature
 
     def n_k(t):
-        return n * float(k_function(spec, alpha, n, t, N))
+        return n * k1(spec, n, t, N)
 
     def a_kal(t):
         return da / (alpha - 1.0) * (abs(t) ** (1.0 - alpha) - N ** (1.0 - alpha))

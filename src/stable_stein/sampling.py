@@ -139,7 +139,12 @@ def resolve_threads(threads: Optional[int] = None) -> int:
         return max(1, int(threads))
     env = os.environ.get("STABLE_STEIN_THREADS", "")
     if env.strip():
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise DomainError(
+                f"STABLE_STEIN_THREADS must be an integer, got {env!r}"
+            ) from None
     return 1
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -240,6 +241,23 @@ class TestUsageErrors:
     def test_unknown_flag(self):
         self.assert_usage_error(run_cli("bound", "--nonsense", "1"), "--nonsense")
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", "2 threads"])
+    def test_bad_thread_cap(self, value):
+        r = subprocess.run(CLI + ["simulate", "--n", "10", "--m", "200"],
+                           capture_output=True, text=True,
+                           env=dict(os.environ, STABLE_STEIN_THREADS=value))
+        self.assert_usage_error(r, "STABLE_STEIN_THREADS")
+        # rejected before any work starts: no config echo, no simulation
+        assert "CONFIG" not in r.stderr and "simulating" not in r.stderr
+
+    @pytest.mark.parametrize("value", ["0", " 2 ", "-3", ""])
+    def test_integral_thread_caps_accepted(self, value):
+        base = run_cli("simulate", "--n", "10", "--m", "200", "--seed", "3")
+        r = subprocess.run(CLI + ["simulate", "--n", "10", "--m", "200", "--seed", "3"],
+                           capture_output=True, text=True,
+                           env=dict(os.environ, STABLE_STEIN_THREADS=value))
+        assert r.returncode == 0 and r.stdout == base.stdout
+
 
 class TestInProcessMain:
     def test_main_returns_zero(self, capsys):
@@ -247,3 +265,18 @@ class TestInProcessMain:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.startswith("alpha,")
+
+    def test_thread_cap_parsing(self, monkeypatch, capsys):
+        from stable_stein.sampling import resolve_threads
+
+        for value, want in (("0", 1), (" 3 ", 3), ("-2", 1), ("", 1)):
+            monkeypatch.setenv("STABLE_STEIN_THREADS", value)
+            assert resolve_threads() == want
+        assert resolve_threads(4) == 4
+        monkeypatch.setenv("STABLE_STEIN_THREADS", "many")
+        with pytest.raises(SystemExit) as exc:
+            main(["constants", "--table", "1"])
+        assert exc.value.code == 2
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["error"] == "UsageError"
+        assert "STABLE_STEIN_THREADS" in obj["message"] and "'many'" in obj["message"]

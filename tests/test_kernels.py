@@ -148,6 +148,50 @@ class TestSummandLaws:
             lhs2 = float(gt.tail_abs(x)) / (2.0 * x ** -1.5) - 1.0
             assert lhs2 == pytest.approx(-0.1 / x, abs=1e-10)
 
+    @pytest.mark.parametrize("x", [0.0, 1.0, 1.999, 2.0, 2.0000001, 3.5, 40.0, 1e9])
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_general_tail_scalar_equals_array_element(self, x, kind):
+        # the scalar rule is the one the quadrature uses; the array path
+        # maps it, so both give the same bits below, at and above A_thresh
+        gt = GeneralTail(alpha=1.5, theta_scale=1.0, A_thresh=2.0,
+                         m1_fn=lambda x: 0.5 * x ** -2.0, m2_fn=lambda x: 0.1 / x)
+        xs = np.array([0.5, x, 7.0])
+        # m1 and m2 are the model functions themselves, unclamped
+        names = ("tail_pos", "tail_neg", "tail_abs") + (("m1", "m2") if x > 0.0 else ())
+        for name in names:
+            method = getattr(gt, name)
+            scalar = method(kind(x))
+            assert type(scalar) is float, name
+            assert scalar == method(xs)[1], name
+            assert scalar == method(np.asarray(x)), name
+        frozen = gt._model_pos(2.0)
+        assert (gt.tail_pos(kind(x)) == frozen) == (x <= 2.0)
+
+    def test_general_tail_array_shape(self):
+        gt = GeneralTail(alpha=1.5, theta_scale=1.0, A_thresh=2.0,
+                         m1_fn=lambda x: 0.0, m2_fn=lambda x: 0)
+        assert gt.tail_pos([1.0, 3.0]).shape == (2,)
+        assert gt.tail_pos(np.ones((2, 3))).shape == (2, 3)
+        assert gt.m2(np.array([2.0, 5.0])).dtype == np.float64
+        assert type(gt.tail_pos(3)) is float
+
+    def test_log_pareto_threshold_solved_once_per_n(self, monkeypatch):
+        import stable_stein.kernels as ker
+
+        lp = LogPerturbedPareto(1.5, 1.0, x0=5.0)
+        want = solve_log_tail_scale(lp.K0, lp.x0, 1.5, 1.0, 1000).value
+        calls = []
+        real = ker.solve_log_tail_scale
+        monkeypatch.setattr(ker, "solve_log_tail_scale",
+                            lambda *a: calls.append(a) or real(*a))
+        first = lp.ell(1000)
+        assert lp.solve_threshold(1000) == want
+        assert lp.ell(1000) == first
+        assert len(calls) == 1
+        # a new instance with the same parameters solves again, equally
+        assert LogPerturbedPareto(1.5, 1.0, x0=5.0).ell(1000) == first
+        assert len(calls) == 2
+
     def test_ell_conventions(self):
         n = 1234
         assert Pareto(1.5).ell(n) == pytest.approx(1.5 / (2 * d_alpha(1.5)) * n)
@@ -343,6 +387,41 @@ class TestDiscrepancy:
         with pytest.raises(ConvergenceError) as exc:
             _discrepancy_quadrature(gt, 5000, 30.0, tol=1e-16)
         assert exc.value.achieved_tol is not None
+
+
+class TestGeneralTailBoundsPinned:
+    """Exact values of the GeneralTail quadrature bounds; any change in the
+    integrands or the K1 dispatch that moves a bit shows up here."""
+
+    @staticmethod
+    def spec():
+        return GeneralTail(alpha=1.5, theta_scale=1.0, A_thresh=2.0,
+                           m1_fn=lambda x: 0.5 * x ** -2.0, m2_fn=lambda x: 0.0)
+
+    def test_bound_main(self):
+        from stable_stein.bounds import bound_main
+
+        rep = bound_main(self.spec(), 1.5, 100, 5.0, 0.5)
+        assert rep.discrepancy_term == 0.1881818377114457
+        assert rep.total == 5.981158993388652
+
+    def test_bound_mthm2(self):
+        from stable_stein.bounds import bound_mthm2
+
+        rep = bound_mthm2(self.spec(), 1.5, 100, 5.0, 0.5)
+        assert rep.discrepancy_term == 0.1881818377114457
+        assert rep.total == 6.517229424822737
+
+    def test_discrepancy_k1_matches_public_k_function(self, mp_beta4):
+        # the discrepancy resolves K1 once; the public k_function gives the
+        # same values, including the closed form for the two-term family
+        from stable_stein.kernels import _k_closed_two_term, _k_quadrature
+
+        gt = self.spec()
+        for t in (-3.0, -0.2, 0.01, 0.7, 4.0):
+            assert k_function(gt, 1.5, 100, t, 5.0) == _k_quadrature(gt, 100, t, 5.0)
+            assert k_function(mp_beta4, 1.5, 100, t, 5.0, backend="closed_form") == \
+                _k_closed_two_term(mp_beta4, 100, t, 5.0)
 
 
 class TestKernelProfile:

@@ -3,6 +3,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +69,30 @@ class TestGamma:
         with pytest.raises(DomainError):
             gamma_fn(bad)
 
+    def test_bits_unchanged_where_the_power_fits(self):
+        # the split power is taken only where t ** (z + 0.5) overflows
+        from stable_stein.special import _LANCZOS_COEF, _LANCZOS_G
+
+        def unsplit(x):
+            z = x - 1.0
+            acc = _LANCZOS_COEF[0]
+            for i in range(1, len(_LANCZOS_COEF)):
+                acc += _LANCZOS_COEF[i] / (z + i)
+            t = z + _LANCZOS_G + 0.5
+            return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+
+        for x in np.linspace(0.5, 142.2, 500):
+            assert gamma_fn(float(x)) == unsplit(float(x))
+
+    @pytest.mark.parametrize("x", [142.3, 150.0, 171.0, 171.5, 171.62])
+    def test_large_arguments_finite(self, x):
+        assert gamma_fn(x) == pytest.approx(float(mp.gamma(x)), rel=1e-12)
+
+    @pytest.mark.parametrize("x", [171.63, 172.0, 500.0, 1e300, 1e-310, 5e-324])
+    def test_overflow_is_domain_error(self, x):
+        with pytest.raises(DomainError, match="overflows"):
+            gamma_fn(x)
+
 
 class TestBeta:
     def test_uniform_mass(self):
@@ -88,6 +113,15 @@ class TestBeta:
     def test_domain(self, args):
         with pytest.raises(DomainError):
             beta_fn(*args)
+
+    @pytest.mark.parametrize("x,y", [(100.0, 100.0), (0.5, 171.0), (85.0, 90.0),
+                                     (300.0, 2.5), (1e-300, 150.0)])
+    def test_past_the_gamma_range(self, x, y):
+        assert beta_fn(x, y) == pytest.approx(float(mp.beta(x, y)), rel=1e-11)
+
+    def test_overflow_is_domain_error(self):
+        with pytest.raises(DomainError, match="overflows"):
+            beta_fn(1e-320, 200.0)
 
 
 class TestDAlpha:
@@ -111,6 +145,15 @@ class TestDAlpha:
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             d_alpha(bad)
+
+    def test_memo_keeps_the_bits_of_a_fresh_computation(self):
+        a = 1.2345678901
+        fresh = a * 2.0 ** (a - 1.0) * gamma_fn((1.0 + a) / 2.0) / (
+            math.sqrt(math.pi) * gamma_fn(1.0 - a / 2.0))
+        first = d_alpha(np.float64(a))
+        second = d_alpha(a)
+        assert type(first) is float and type(second) is float
+        assert first == fresh and second == fresh
 
 
 class TestBoundConstants:
@@ -145,6 +188,17 @@ class TestBoundConstants:
     def test_domain_gamma(self, bad):
         with pytest.raises(DomainError):
             D_alpha_gamma(1.5, bad)
+
+    def test_dgamma_equals_unmemoized_expression(self):
+        # the memoized prefactor keeps the left-to-right product
+        for alpha in ALPHAS:
+            bracket = 16.0 / (math.pi * (2.0 - alpha)) * math.sqrt((alpha + 3.0) / alpha) \
+                + 16.0 / (math.pi * (alpha - 1.0)) * math.sqrt((2.0 * alpha + 1.0) / alpha)
+            for gamma in GAMMAS:
+                want = d_alpha(alpha) / alpha * bracket * beta_fn(
+                    (1.0 - gamma) / alpha, (gamma + alpha) / alpha)
+                assert D_alpha_gamma(alpha, gamma) == want, (alpha, gamma)
+                assert D_alpha_gamma(np.float64(alpha), gamma) == want, (alpha, gamma)
 
     def test_constants_bundle(self):
         c = SteinConstants.for_alpha(1.5)
