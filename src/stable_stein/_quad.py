@@ -6,10 +6,18 @@ onto a list of panel edges chosen by the caller.  Keeping the edge logic with
 the caller lets each integral align panels to its own structure: half-periods
 of the oscillating factor, dyadic refinement toward an endpoint singularity,
 geometric growth into a power-law tail.
+
+The scipy routines the package uses (adaptive ``quad``, ``brentq``,
+``minimize_scalar``, ``PchipInterpolator``) are also named here, and scipy
+is imported on their first call, not when the package is imported: the
+import costs most of a CLI cold start, and the commands that only evaluate
+closed forms, the constants or the stable density never need it.
 """
 
 from __future__ import annotations
 
+import importlib
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -58,3 +66,34 @@ def arithmetic_edges(lo: float, hi: float, step: float):
         raise ValueError("need hi > lo")
     count = max(1, int(np.ceil((hi - lo) / step)))
     return np.linspace(lo, hi, count + 1)
+
+
+# One lock for every first import: threads that import scipy submodules
+# which import each other could otherwise see a partly initialised module.
+_first_import = threading.Lock()
+
+
+def _import_on_first_call(module: str, name: str):
+    """A stand-in for ``module.name`` that imports ``module`` when first called.
+
+    The real object is bound once; after that each call costs one extra
+    Python call.
+    """
+    real = None
+
+    def call(*args, **kwargs):
+        nonlocal real
+        if real is None:
+            with _first_import:
+                real = getattr(importlib.import_module(module), name)
+        return real(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    call.__doc__ = f"``{module}.{name}``, imported on first call."
+    return call
+
+
+quad = _import_on_first_call("scipy.integrate", "quad")
+brentq = _import_on_first_call("scipy.optimize", "brentq")
+minimize_scalar = _import_on_first_call("scipy.optimize", "minimize_scalar")
+PchipInterpolator = _import_on_first_call("scipy.interpolate", "PchipInterpolator")

@@ -39,9 +39,8 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
+from ._quad import minimize_scalar, quad
 from .errors import DomainError
 from .kernels import (
     DistributionSpec,

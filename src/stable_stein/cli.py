@@ -7,8 +7,10 @@ solve the norming threshold of the log-tailed family.
 
 Conventions
 -----------
-* stdout carries machine-readable output only (CSV or JSON, per --format);
-  progress and diagnostics go to stderr.
+* stdout carries machine-readable output only; progress and diagnostics go
+  to stderr.  Each subcommand accepts only the --format it emits (CSV or
+  JSON; rate-fit emits either) and --precision extended only where it is
+  read (constants, table3).
 * every run echoes its resolved configuration to stderr as one line
   ``CONFIG {json}``; saving that object to a file and re-running with
   ``--config file`` reproduces the output byte for byte.
@@ -16,7 +18,11 @@ Conventions
   10-significant-digit float format, so written files parse and re-emit
   identically.
 * exit codes: 0 success, 2 usage error, 1 numeric failure; on either
-  failure a JSON error object is printed to stdout.
+  failure a JSON error object is printed to stdout.  An --out path that
+  cannot be written is a usage error, found before any work.  A
+  convergence failure also reports ``partial``, ``achieved_tol`` and
+  ``trace``; non-finite floats are written as "inf", "-inf" or "nan" so the
+  object stays strict JSON.
 
 Parallelism is capped by the STABLE_STEIN_THREADS environment variable; a
 value that is not an integer is a usage error.
@@ -27,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -55,6 +62,15 @@ def _fmt(x) -> str:
             return "inf"
         return f"{x:.10g}"
     return str(x)
+
+
+def _strict_json(value):
+    """``value`` with non-finite floats spelled "inf", "-inf" or "nan"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
 
 
 def _parse_grid(text: str):
@@ -294,10 +310,12 @@ def cmd_an_solver(args):
 # parser and dispatch
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--format", choices=["csv", "json"], default=None)
+def _add_common(p, formats=("csv",), precisions=("double",)):
+    """Flags every subcommand takes; ``formats`` and ``precisions`` are the
+    values it honours, so any other value is a usage error."""
+    p.add_argument("--format", choices=formats, default=None)
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    p.add_argument("--precision", choices=["double", "extended"], default="double")
+    p.add_argument("--precision", choices=precisions, default="double")
     p.add_argument("--config", default=None, help="JSON file with flag defaults")
 
 
@@ -334,13 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-grid", type=_parse_grid, default=DEFAULT_ALPHAS)
     p.add_argument("--gamma-grid", type=_parse_grid, default=DEFAULT_GAMMAS)
     p.add_argument("--table", choices=["1", "2", "both"], default="both")
-    _add_common(p)
+    _add_common(p, precisions=("double", "extended"))
 
     p = sub.add_parser("table3", help="power-law bound totals on the gamma x alpha grid")
     p.add_argument("--n", type=_parse_count, default=10 ** 6)
     p.add_argument("--alpha-grid", type=_parse_grid, default=DEFAULT_ALPHAS)
     p.add_argument("--gamma-grid", type=_parse_grid, default=DEFAULT_GAMMAS)
-    _add_common(p)
+    _add_common(p, precisions=("double", "extended"))
 
     p = sub.add_parser("figure1", help="optimal gamma curves for the four reference cases")
     p.add_argument("--n", type=_parse_count, default=10 ** 6)
@@ -351,11 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=0.9)
     p.add_argument("--n", type=_parse_count, default=10 ** 6)
     p.add_argument("--N", type=_parse_n_value, default="auto")
-    _add_common(p)
+    _add_common(p, formats=("json",))
 
     p = sub.add_parser("rate-order", help="leading rate order of a summand family")
     _add_spec_flags(p)
-    _add_common(p)
+    _add_common(p, formats=("json",))
 
     p = sub.add_parser("simulate", help="one empirical W1 experiment row")
     _add_spec_flags(p)
@@ -374,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--estimator", default="bias_corrected",
                    choices=["one_sample_quantile", "two_sample", "bias_corrected"])
-    _add_common(p)
+    _add_common(p, formats=("csv", "json"))
 
     p = sub.add_parser("density", help="density/cdf table of the stable target")
     p.add_argument("--alpha", type=float, default=1.5)
@@ -388,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K0", type=float, default=None)
     p.add_argument("--x0", type=float, default=None)
     p.add_argument("--n", type=_parse_count, default=10 ** 6)
-    _add_common(p)
+    _add_common(p, formats=("json",))
 
     return ap
 
@@ -407,11 +425,21 @@ _DISPATCH = {
 
 
 def _echo_config(args) -> None:
-    cfg = {k: v for k, v in vars(args).items() if k not in ("config", "out")}
-    for k, v in cfg.items():
-        if isinstance(v, float) and math.isinf(v):
-            cfg[k] = "inf"
+    cfg = {k: _strict_json(v) for k, v in vars(args).items() if k not in ("config", "out")}
     print("CONFIG " + json.dumps(cfg, sort_keys=True), file=sys.stderr)
+
+
+def _check_out_path(path: str, ap) -> None:
+    """Reject an --out path that cannot be written, before any work is done.
+    Nothing is created or truncated here."""
+    target = os.path.abspath(path)
+    parent = os.path.dirname(target)
+    if os.path.isdir(target):
+        ap.error(f"argument --out: {path} is a directory")
+    if not os.path.isdir(parent):
+        ap.error(f"argument --out: directory {parent} does not exist")
+    if not os.access(target if os.path.exists(target) else parent, os.W_OK):
+        ap.error(f"argument --out: {path} is not writable")
 
 
 def _apply_config_file(argv, ap):
@@ -458,18 +486,27 @@ def main(argv: Optional[list] = None) -> int:
         smp.resolve_threads()       # a bad thread cap is a usage error
     except DomainError as exc:
         ap.error(str(exc))
+    if args.out:
+        _check_out_path(args.out, ap)
     _echo_config(args)
     try:
         lines = _DISPATCH[args.command](args)
     except (DomainError, ConvergenceError, NonFiniteSampleError, ValueError) as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, ConvergenceError):
+            err.update(partial=_strict_json(exc.partial),
+                       achieved_tol=_strict_json(exc.achieved_tol),
+                       trace=_strict_json(exc.trace))
         print(json.dumps(err, sort_keys=True))
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            ap.error(f"argument --out: cannot write {args.out}: {exc}")
     else:
         sys.stdout.write(text)
     return 0

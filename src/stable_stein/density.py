@@ -30,10 +30,8 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
-from ._quad import panel_nodes
+from ._quad import PchipInterpolator, brentq, panel_nodes
 from .errors import DomainError
 from .special import d_alpha
 

@@ -31,9 +31,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
+from ._quad import brentq, quad
 from .errors import ConvergenceError, DomainError
 from .special import d_alpha
 

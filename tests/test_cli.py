@@ -5,12 +5,17 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+from stable_stein import cli
 from stable_stein.cli import main
+from stable_stein.errors import ConvergenceError
 
 CLI = [sys.executable, "-m", "stable_stein.cli"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args):
@@ -257,6 +262,166 @@ class TestUsageErrors:
                            capture_output=True, text=True,
                            env=dict(os.environ, STABLE_STEIN_THREADS=value))
         assert r.returncode == 0 and r.stdout == base.stdout
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, where):
+        out = tmp_path / "no" / "such" / "x.csv" if where == "missing_dir" else tmp_path
+        r = run_cli("constants", "--out", str(out))
+        assert r.returncode == 2
+        obj = json.loads(r.stdout)
+        assert obj["error"] == "UsageError" and "--out" in obj["message"]
+        assert "Traceback" not in r.stderr
+        # rejected before any work: no config echo, nothing created
+        assert "CONFIG {" not in r.stderr
+        assert not (tmp_path / "no").exists()
+
+
+class TestFormatAndPrecision:
+    """Each subcommand accepts only the --format it emits and --precision
+    extended only where it is read."""
+
+    @pytest.mark.parametrize("argv", [
+        ("density", "--format", "json"),
+        ("constants", "--format", "json"),
+        ("figure1", "--format", "json"),
+        ("simulate", "--format", "json"),
+        ("bound", "--format", "csv"),
+        ("rate-order", "--format", "csv"),
+        ("an-solver", "--format", "csv", "--K0", "2", "--x0", "3"),
+        ("bound", "--precision", "extended"),
+        ("density", "--precision", "extended"),
+        ("rate-fit", "--precision", "extended"),
+    ])
+    def test_ignored_value_is_usage_error(self, argv):
+        r = run_cli(*argv)
+        assert r.returncode == 2
+        obj = json.loads(r.stdout)
+        assert obj["error"] == "UsageError" and argv[1] in obj["message"]
+        assert "CONFIG {" not in r.stderr
+
+    def test_honoured_values_accepted(self, capsys):
+        assert main(["density", "--format", "csv", "--xmax", "1", "--step", "1"]) == 0
+        assert capsys.readouterr().out.startswith("x,p,cdf\n")
+        assert main(["bound", "--format", "json", "--precision", "double"]) == 0
+        assert json.loads(capsys.readouterr().out)["N"] == "inf"
+        fit = ["rate-fit", "--n-grid", "100,200,400,800", "--m", "300", "--seed", "1"]
+        assert main(fit + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out.startswith("n,m,estimator,")
+        assert main(fit + ["--format", "json"]) == 0
+        assert "slope" in json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("argv", [
+        ("constants", "--alpha-grid", "1.5", "--gamma-grid", "0.5"),
+        ("table3", "--n", "1000", "--alpha-grid", "1.5", "--gamma-grid", "0.5"),
+        ("figure1", "--n", "1000"),
+        ("bound", "--n", "1000"),
+        ("rate-order",),
+        ("simulate", "--n", "50", "--m", "200"),
+        ("rate-fit", "--n-grid", "100,200,400,800", "--m", "300", "--seed", "1"),
+        ("density", "--xmax", "1", "--step", "1"),
+        ("an-solver", "--K0", "2", "--x0", "3", "--beta", "1"),
+    ])
+    def test_config_echo_replays_every_command(self, argv, tmp_path, capsys):
+        assert main(list(argv)) == 0
+        first = capsys.readouterr()
+        cfg_line = [l for l in first.err.splitlines() if l.startswith("CONFIG ")][0]
+        cfg = json.loads(cfg_line[len("CONFIG "):])
+        assert cfg["precision"] == "double" and cfg["format"] is None
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_line[len("CONFIG "):])
+        assert main(["--config", str(path)]) == 0
+        assert capsys.readouterr().out == first.out
+
+
+class TestConvergenceErrorReport:
+    def test_details_in_strict_json(self, monkeypatch, capsys):
+        def failing(args):
+            raise ConvergenceError("stalled", partial=math.inf, achieved_tol=math.nan,
+                                   trace=[1.5, -math.inf, 2.0])
+
+        monkeypatch.setitem(cli._DISPATCH, "rate-order", failing)
+        assert main(["rate-order"]) == 1
+
+        def reject(name):
+            raise AssertionError(f"non-strict JSON constant {name}")
+
+        obj = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert obj == {"error": "ConvergenceError", "message": "stalled",
+                       "partial": "inf", "achieved_tol": "nan",
+                       "trace": [1.5, "-inf", 2.0]}
+
+    def test_missing_details_are_null(self, monkeypatch, capsys):
+        def failing(args):
+            raise ConvergenceError("no estimate")
+
+        monkeypatch.setitem(cli._DISPATCH, "rate-order", failing)
+        assert main(["rate-order"]) == 1
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["partial"] is None and obj["achieved_tol"] is None
+        assert obj["trace"] == []
+
+
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports the package from src."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True, env=env, timeout=600)
+
+
+class TestScipyFreeStartup:
+    """scipy is imported on first use, not when the package is imported."""
+
+    # the commands that integrate, root-find, minimize or interpolate nothing
+    LIGHT_COMMANDS = [
+        ["constants"],
+        ["table3", "--n", "1000000"],
+        ["bound", "--spec", "pareto", "--alpha", "1.5", "--gamma", "0.5", "--n", "1000000"],
+        ["bound", "--spec", "modified-pareto", "--beta", "4", "--alpha", "1.5",
+         "--gamma", "0.5", "--n", "1000000"],
+        ["rate-order", "--spec", "hall", "--A", "0.6", "--c", "0.2", "--alpha", "1.5"],
+        ["an-solver", "--K0", "2", "--x0", "3", "--alpha", "1.5", "--beta", "1",
+         "--n", "1000000"],
+        ["density", "--alpha", "1.5", "--xmax", "5", "--step", "0.1"],
+    ]
+
+    def test_import_and_light_commands_load_no_scipy(self):
+        r = run_fresh(f"""
+            import contextlib, io, json, sys
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+            import stable_stein
+            report = {{"import stable_stein": [0, scipy_modules()]}}
+            import stable_stein.cli
+            report["import stable_stein.cli"] = [0, scipy_modules()]
+            for argv in {self.LIGHT_COMMANDS!r}:
+                with contextlib.redirect_stdout(io.StringIO()), \\
+                        contextlib.redirect_stderr(io.StringIO()):
+                    rc = stable_stein.cli.main(argv)
+                report[" ".join(argv)] = [rc, scipy_modules()]
+            print(json.dumps(report))
+        """)
+        assert r.returncode == 0, r.stderr
+        report = json.loads(r.stdout)
+        assert len(report) == 2 + len(self.LIGHT_COMMANDS)
+        assert report == {step: [0, []] for step in report}
+
+    def test_first_import_inside_worker_threads(self):
+        r = run_fresh("""
+            import json, sys
+            from stable_stein.bounds import figure_gamma_curves
+
+            assert "scipy" not in sys.modules
+            threaded = figure_gamma_curves(alphas=[1.3, 1.5, 1.7], threads=2)
+            serial = figure_gamma_curves(alphas=[1.3, 1.5, 1.7], threads=1)
+            print(json.dumps({"same": threaded == serial, "rows": len(threaded),
+                              "scipy": "scipy" in sys.modules}))
+        """)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout) == {"same": True, "rows": 3, "scipy": True}
 
 
 class TestInProcessMain:
