@@ -45,10 +45,9 @@ from .errors import DomainError
 from .kernels import (
     DistributionSpec,
     GeneralTail,
-    HallTransform,
-    LogPerturbedPareto,
     ModifiedPareto,
     Pareto,
+    RateOrder,
     ThresholdSolution,
     abs_tail_moment_zeta,
     discrepancy_l1,
@@ -75,6 +74,7 @@ __all__ = [
     "log_example_A_n",
     "pareto_bound_closed",
     "default_truncation",
+    "bound_total_slope",
     "constants_table_d",
     "constants_table_dgamma",
     "pareto_bound_table",
@@ -136,17 +136,6 @@ class Example2Report(SteinBoundReport):
     remainder_term: float = 0.0
 
 
-@dataclass(frozen=True)
-class RateOrder:
-    """Leading decay of the bound: total ~ n^exponent (times log n when
-    has_log_factor), or (log n)^exponent when in_log_n is set."""
-
-    exponent: float
-    has_log_factor: bool
-    in_log_n: bool = False
-    classified: bool = True
-
-
 # ---------------------------------------------------------------------------
 # tail model
 # ---------------------------------------------------------------------------
@@ -169,11 +158,8 @@ class TailModel:
 
     @classmethod
     def from_spec(cls, spec: DistributionSpec) -> "TailModel":
-        if isinstance(spec, LogPerturbedPareto):
-            raise DomainError(
-                "log-perturbed tails are slowly varying and have no tail "
-                "scale; the tail-model assembly does not apply"
-            )
+        """A law without a tail scale (``theta`` raises DomainError, as for
+        slowly varying tails) has no tail model."""
         return cls(
             spec=spec,
             theta=spec.theta,
@@ -232,42 +218,41 @@ def _validate_bound_args(alpha, gamma, n, N, alpha_limits):
         raise DomainError(f"N must be positive (or inf), got {N}")
 
 
-def _scale_report(report: SteinBoundReport, factor: float) -> SteinBoundReport:
+def _report(spec: DistributionSpec, alpha: float, gamma: float, n: int, N: float,
+            disc: float, trunc: float, n_term: float, gam: float,
+            target_scale: float) -> SteinBoundReport:
+    """The report of one assembly from its four terms.
+
+    ``target_scale`` sigma scales every term and the total by
+    sigma^{1/alpha}, the bound for the sigma-scaled target.
+    """
+    rate = spec.rate_order()
+    total = D_alpha(alpha) * disc + trunc + n_term + gam
+    report = SteinBoundReport(
+        alpha=alpha, gamma=gamma, n=int(n), N=N,
+        discrepancy_term=disc, truncation_term=trunc, N_term=n_term,
+        gamma_term=gam, total=total,
+        rate_exponent=rate.exponent, has_log_factor=rate.has_log_factor,
+    )
+    factor = target_scale ** (1.0 / alpha)
     if factor == 1.0:
         return report
     d = asdict(report)
     for key in ("discrepancy_term", "truncation_term", "N_term", "gamma_term", "total"):
         d[key] = d[key] * factor
-    return type(report)(**d)
+    return SteinBoundReport(**d)
 
 
 def default_truncation(spec: DistributionSpec, n: int):
-    """The truncation level each family's analysis uses by default.
+    """The truncation level the family's analysis uses by default.
 
     Plain power law: inf.  Two-term family: inf for beta > 2, else
     N = ell_n^q with q = (2-alpha)/(alpha(alpha-1)) at beta = 2 and
     q = (beta-alpha)/(alpha(alpha+1-beta)) for beta in (alpha, 2).
-    Log-perturbed tails: N = (log A_n)^{1/alpha}.
+    Log-perturbed tails: N = (log A_n)^{1/alpha}.  A law without a rule
+    raises DomainError.
     """
-    if isinstance(spec, Pareto):
-        return math.inf
-    if isinstance(spec, HallTransform):
-        spec = spec.as_modified_pareto()
-    if isinstance(spec, ModifiedPareto):
-        alpha, beta = spec.alpha, spec.beta
-        if beta > 2.0:
-            return math.inf
-        if beta == 2.0:
-            q = (2.0 - alpha) / (alpha * (alpha - 1.0))
-        else:
-            q = (beta - alpha) / (alpha * (alpha + 1.0 - beta))
-        # q blows up toward alpha = 1; any truncation level is admissible,
-        # and beyond ~1e280 the truncated terms are zero to double precision
-        return math.exp(min(q * math.log(spec.ell(n)), 644.0))
-    if isinstance(spec, LogPerturbedPareto):
-        a_n = spec.solve_threshold(n)
-        return math.log(a_n) ** (1.0 / spec.alpha)
-    raise DomainError(f"no default truncation rule for {spec.describe()}; pass N explicitly")
+    return spec.default_truncation(n)
 
 
 # ---------------------------------------------------------------------------
@@ -302,16 +287,7 @@ def bound_main(spec: DistributionSpec, alpha: float, n: int, N: float, gamma: fl
         n_term = 4.0 * d_alpha(alpha) / ((alpha - 1.0) * N ** (alpha - 1.0))
     gam = D_alpha_gamma(alpha, gamma) * spec.ell(n) ** (-gamma / alpha) * \
         spec.abs_central_moment(gamma)
-    rate = rate_order(spec)
-    total = D_alpha(alpha) * disc + trunc + n_term + gam
-    report = SteinBoundReport(
-        alpha=alpha, gamma=gamma, n=int(n), N=N,
-        discrepancy_term=disc, truncation_term=trunc, N_term=n_term,
-        gamma_term=gam, total=total,
-        rate_exponent=rate.exponent if rate.classified else math.nan,
-        has_log_factor=rate.has_log_factor if rate.classified else False,
-    )
-    return _scale_report(report, target_scale ** (1.0 / alpha))
+    return _report(spec, alpha, gamma, n, N, disc, trunc, n_term, gam, target_scale)
 
 
 def _m2_tail_integral(model: TailModel, scale: float, lo: float) -> float:
@@ -383,16 +359,7 @@ def bound_mthm2(model, alpha: float, n: int, N: float, gamma: float,
         n_term = 4.0 * da / ((alpha - 1.0) * N ** (alpha - 1.0))
         trunc = piece - n_term
     disc = discrepancy_l1(spec, alpha, n, N, backend=backend)
-    rate = rate_order(spec)
-    total = D_alpha(alpha) * disc + trunc + n_term + gam
-    report = SteinBoundReport(
-        alpha=alpha, gamma=gamma, n=int(n), N=N,
-        discrepancy_term=disc, truncation_term=trunc, N_term=n_term,
-        gamma_term=gam, total=total,
-        rate_exponent=rate.exponent if rate.classified else math.nan,
-        has_log_factor=rate.has_log_factor if rate.classified else False,
-    )
-    return _scale_report(report, target_scale ** (1.0 / alpha))
+    return _report(spec, alpha, gamma, n, N, disc, trunc, n_term, gam, target_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -411,21 +378,30 @@ def rate_order(spec: DistributionSpec, alpha: Optional[float] = None) -> RateOrd
     """
     if alpha is not None and abs(alpha - spec.alpha) > 1e-12:
         raise DomainError(f"alpha={alpha} disagrees with spec alpha={spec.alpha}")
-    a = spec.alpha
-    if isinstance(spec, Pareto):
-        return RateOrder(-(2.0 - a) / a, False)
-    if isinstance(spec, HallTransform):
-        spec = spec.as_modified_pareto()
-    if isinstance(spec, ModifiedPareto):
-        b = spec.beta
-        if b > 2.0:
-            return RateOrder(-(2.0 - a) / a, False)
-        if b == 2.0:
-            return RateOrder(-(2.0 - a) / a, True)
-        return RateOrder(-(a - 1.0) * (b - a) / (a * (1.0 + a - b)), False)
-    if isinstance(spec, LogPerturbedPareto):
-        return RateOrder(-(1.0 - 1.0 / a), False, in_log_n=True)
-    return RateOrder(math.nan, False, classified=False)
+    return spec.rate_order()
+
+
+def bound_total_slope(spec: DistributionSpec, alpha: float, n_grid: Sequence[int],
+                      gamma: Optional[float] = None, N="auto",
+                      divide_log: bool = False) -> float:
+    """Log-log slope of the assembled bound totals over a grid of n.
+
+    gamma defaults to 2 - alpha, which makes the smoothing term decay at the
+    leading order itself, so pure-power families fit their rate exponent
+    exactly.  ``divide_log`` removes a log ell_n factor before fitting (for
+    the beta = 2 family)."""
+    g = (2.0 - alpha) if gamma is None else gamma
+    logs_n = []
+    logs_t = []
+    for n in n_grid:
+        trunc = default_truncation(spec, int(n)) if N == "auto" else N
+        total = bound_main(spec, alpha, int(n), trunc, g).total
+        if divide_log:
+            total /= math.log(spec.ell(int(n)))
+        logs_n.append(math.log(n))
+        logs_t.append(math.log(total))
+    slope, _ = np.polyfit(logs_n, logs_t, 1)
+    return float(slope)
 
 
 # ---------------------------------------------------------------------------
@@ -488,17 +464,13 @@ def example2_bound(A: float, B: float, alpha: float, beta: float, gamma: float,
     da = d_alpha(alpha)
     Da = D_alpha(alpha)
     ell = spec.ell(n)
-    if beta > 2.0:
-        case, q = 1, None
-        n_used = math.inf if N == "auto" else N
-    elif beta == 2.0:
-        case, q = 2, (2.0 - alpha) / (alpha * (alpha - 1.0))
-        n_used = ell ** q if N == "auto" else N
-    else:
-        case, q = 3, (beta - alpha) / (alpha * (alpha + 1.0 - beta))
-        n_used = ell ** q if N == "auto" else N
-    base = bound_mthm2(spec, alpha, n, n_used, gamma, alpha_limits=alpha_limits)
+    case, q = spec.truncation_case()
     auto = N == "auto"
+    if auto:
+        n_used = math.inf if case == 1 else ell ** q
+    else:
+        n_used = N
+    base = bound_mthm2(spec, alpha, n, n_used, gamma, alpha_limits=alpha_limits)
     if case == 1 and (auto or math.isinf(n_used)):
         leading = (2.0 * da * Da / alpha) * (
             1.0 / (2.0 - alpha) + B / (A * (beta - 2.0))
@@ -513,15 +485,8 @@ def example2_bound(A: float, B: float, alpha: float, beta: float, gamma: float,
         ) * ell ** (-e_star)
     else:
         leading = Da * base.discrepancy_term
-    return Example2Report(
-        alpha=base.alpha, gamma=base.gamma, n=base.n, N=base.N,
-        discrepancy_term=base.discrepancy_term,
-        truncation_term=base.truncation_term, N_term=base.N_term,
-        gamma_term=base.gamma_term, total=base.total,
-        rate_exponent=base.rate_exponent, has_log_factor=base.has_log_factor,
-        case=case, q_exponent=q, leading_term=leading,
-        remainder_term=base.total - leading,
-    )
+    return Example2Report(**asdict(base), case=case, q_exponent=q, leading_term=leading,
+                          remainder_term=base.total - leading)
 
 
 # ---------------------------------------------------------------------------

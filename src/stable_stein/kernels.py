@@ -43,6 +43,7 @@ __all__ = [
     "HallTransform",
     "LogPerturbedPareto",
     "GeneralTail",
+    "RateOrder",
     "stable_kernel",
     "stable_kernel_mass",
     "k_function",
@@ -61,6 +62,17 @@ __all__ = [
 # summand laws
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class RateOrder:
+    """Leading decay of the bound: total ~ n^exponent (times log n when
+    has_log_factor), or (log n)^exponent when in_log_n is set."""
+
+    exponent: float
+    has_log_factor: bool
+    in_log_n: bool = False
+    classified: bool = True
+
+
 class DistributionSpec:
     """Interface shared by every summand law.
 
@@ -68,6 +80,12 @@ class DistributionSpec:
     beyond which the tail model is exact, the mean, absolute (central)
     moments, an inverse CDF, and a sampler.  ``ell(n)`` is the norming
     sequence alpha theta n / (2 d_alpha).
+
+    A family the paper analyses also states its closed forms and rules:
+    ``k1_power_terms``, ``discrepancy_closed``, ``default_truncation`` and
+    ``rate_order``.  The defaults here answer "no closed form", "no default
+    rule" and "unclassified", and the kernels and bounds read only these
+    members, never the family's type.
     """
 
     alpha: float
@@ -129,14 +147,8 @@ class DistributionSpec:
         if not (0.0 < gamma <= 1.0):
             raise DomainError(f"abs_central_moment requires gamma in (0, 1], got {gamma}")
         mu = self.mean
-
-        def upper_tail(s):
-            return float(self.tail_pos(s + mu) if s + mu >= 0.0
-                         else 1.0 - self.tail_neg(-(s + mu)))
-
-        def lower_tail(s):
-            z = mu - s
-            return float(self.tail_neg(-z) if z <= 0.0 else 1.0 - self.tail_pos(z))
+        upper_tail = _one_sided_tail(self, 1.0, 1.0, mu)
+        lower_tail = _one_sided_tail(self, -1.0, 1.0, mu)
 
         def integrand(s):
             return gamma * s ** (gamma - 1.0) * (upper_tail(s) + lower_tail(s))
@@ -155,6 +167,23 @@ class DistributionSpec:
     def supports_infinite_truncation(self) -> bool:
         """Whether the assembled bound admits N = inf as an analytic limit."""
         return False
+
+    # -- closed forms and rules of the family -------------------------------
+    # ((coef, exponent), ...) when K1 is the closed sum over power terms
+    #   coef / (2 ell^{exponent/alpha} (exponent-1)) (|t|^{1-exponent} - N^{1-exponent})
+    k1_power_terms = None
+
+    def discrepancy_closed(self, n: int, N: float) -> Optional[float]:
+        """The L1 discrepancy in closed form, or None without one."""
+        return None
+
+    def default_truncation(self, n: int) -> float:
+        """The truncation level the family's analysis uses by default."""
+        raise DomainError(f"no default truncation rule for {self.describe()}; pass N explicitly")
+
+    def rate_order(self) -> RateOrder:
+        """Leading decay order of the assembled bound; not guessed here."""
+        return RateOrder(math.nan, False, classified=False)
 
     # -- sampling ---------------------------------------------------------
     # True when sample(rng, k) is a prefix of sample(rng, n) for k <= n on
@@ -228,6 +257,27 @@ class Pareto(DistributionSpec):
     @property
     def supports_infinite_truncation(self) -> bool:
         return True
+
+    @property
+    def k1_power_terms(self):
+        return ((self.alpha, self.alpha),)
+
+    def discrepancy_closed(self, n: int, N: float) -> float:
+        alpha = self.alpha
+        da = d_alpha(alpha)
+        ell = self.ell(n)
+        if not math.isinf(N) and N < ell ** (-1.0 / alpha):
+            # truncation below the support gap: K1 vanishes identically there
+            return stable_kernel_mass(alpha, N)
+        return 1.0 / (2.0 - alpha) * (2.0 * da / alpha) ** (2.0 / alpha) * float(n) ** (
+            -(2.0 - alpha) / alpha
+        )
+
+    def default_truncation(self, n: int) -> float:
+        return math.inf
+
+    def rate_order(self) -> RateOrder:
+        return RateOrder(-(2.0 - self.alpha) / self.alpha, False)
 
     prefix_consistent = True
 
@@ -306,6 +356,64 @@ class ModifiedPareto(DistributionSpec):
     def supports_infinite_truncation(self) -> bool:
         return self.beta > 2.0
 
+    @property
+    def k1_power_terms(self):
+        return ((self.A, self.alpha), (self.B, self.beta))
+
+    def discrepancy_closed(self, n: int, N: float) -> float:
+        """Two-term upper estimate of the discrepancy.
+
+        The first-exponent part integrates exactly as in the single-term case;
+        the second-exponent part is integrated on its own, so on the overlap
+        |t| < ell^{-1/alpha} this is an upper estimate of the exact L1 value
+        (the quadrature backend computes the exact integral).
+        """
+        alpha, beta = self.alpha, self.beta
+        da = d_alpha(alpha)
+        ell = self.ell(n)
+        first = 2.0 * da * ell ** ((alpha - 2.0) / alpha) / (2.0 - alpha)
+        if math.isinf(N):
+            if beta <= 2.0:
+                raise DomainError(
+                    "N = inf admissible for the two-term family only when beta > 2"
+                )
+            second = 2.0 * self.B * da / (self.A * (beta - 2.0)) * ell ** ((alpha - 2.0) / alpha)
+        elif beta == 2.0:
+            second = (2.0 * self.B * da / self.A) * ell ** ((alpha - 2.0) / alpha) * (
+                math.log(N) + math.log(ell) / alpha
+            )
+        else:
+            second = 2.0 * self.B * da / (self.A * (beta - 2.0)) * (
+                ell ** ((alpha - 2.0) / alpha) - ell ** ((alpha - beta) / alpha) * N ** (2.0 - beta)
+            )
+        return (first + second) / alpha
+
+    def truncation_case(self):
+        """(case, q) of the two-term analysis: case 1 (beta > 2) truncates at
+        N = inf, q None; case 2 (beta = 2) and case 3 (alpha < beta < 2) at
+        N = ell_n^q."""
+        alpha, beta = self.alpha, self.beta
+        if beta > 2.0:
+            return 1, None
+        if beta == 2.0:
+            return 2, (2.0 - alpha) / (alpha * (alpha - 1.0))
+        return 3, (beta - alpha) / (alpha * (alpha + 1.0 - beta))
+
+    def default_truncation(self, n: int) -> float:
+        case, q = self.truncation_case()
+        if case == 1:
+            return math.inf
+        # q blows up toward alpha = 1; any truncation level is admissible,
+        # and beyond ~1e280 the truncated terms are zero to double precision
+        return math.exp(min(q * math.log(self.ell(n)), 644.0))
+
+    def rate_order(self) -> RateOrder:
+        a, b = self.alpha, self.beta
+        case, _ = self.truncation_case()
+        if case == 3:
+            return RateOrder(-(a - 1.0) * (b - a) / (a * (1.0 + a - b)), False)
+        return RateOrder(-(2.0 - a) / a, case == 2)
+
     def ppf(self, u):
         u = np.asarray(u, dtype=float)
         v = 2.0 * np.where(u < 0.5, u, 1.0 - u)
@@ -330,8 +438,8 @@ class ModifiedPareto(DistributionSpec):
                 f"A={self.A}, B={self.B})")
 
 
-@dataclass(frozen=True)
-class HallTransform(DistributionSpec):
+@dataclass(frozen=True, init=False)
+class HallTransform(ModifiedPareto):
     """Power transform X = sgn(Z) |Z|^{-1/alpha} of a flat-plus-power density.
 
     Z has density a + b |z|^c on [-1, 1] (so 2a + 2b/(c+1) = 1).  The
@@ -339,82 +447,34 @@ class HallTransform(DistributionSpec):
 
         P(X > x) = a x^{-alpha} + (b/(c+1)) x^{-alpha (c+1)},   x > 1,
 
-    i.e. exactly a two-term power law with tail-scale parameters
-    A_tail = 2a, B_tail = 2b/(c+1) and second exponent beta = alpha (c+1);
-    in density parameters that is ModifiedPareto(A = alpha A_tail,
-    B = beta B_tail).  Sampling goes through Z: a uniform/power mixture
-    followed by the transform.
+    i.e. exactly a two-term power law with tail-scale parameters 2a and
+    2b/(c+1) and second exponent beta = alpha (c+1); in density parameters
+    that is ModifiedPareto(A = alpha 2a, B = beta 2b/(c+1)), whose tails,
+    moments and closed forms it inherits.  Sampling goes through Z: a
+    uniform/power mixture followed by the transform.
     """
 
+    beta: float = field(init=False)
+    A: float = field(init=False)
+    B: float = field(init=False)
     a: float
     b: float
     c: float
-    alpha: float
-    _mp: ModifiedPareto = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        _check_alpha_12(self.alpha, "HallTransform")
-        if self.a <= 0.0 or self.b < 0.0 or self.c <= 0.0:
+    def __init__(self, a: float, b: float, c: float, alpha: float):
+        _check_alpha_12(alpha, "HallTransform")
+        if a <= 0.0 or b < 0.0 or c <= 0.0:
             raise DomainError("HallTransform requires a > 0, b >= 0, c > 0")
-        mass = 2.0 * self.a + 2.0 * self.b / (self.c + 1.0)
+        mass = 2.0 * a + 2.0 * b / (c + 1.0)
         if abs(mass - 1.0) > 1e-12:
             raise DomainError(
                 f"HallTransform base density not normalized: 2a + 2b/(c+1) = {mass}"
             )
-        beta = self.alpha * (self.c + 1.0)
-        mp = ModifiedPareto(
-            alpha=self.alpha,
-            beta=beta,
-            A=self.alpha * 2.0 * self.a,
-            B=beta * 2.0 * self.b / (self.c + 1.0),
-        )
-        object.__setattr__(self, "_mp", mp)
-
-    @property
-    def beta(self) -> float:
-        return self.alpha * (self.c + 1.0)
-
-    @property
-    def tail_A(self) -> float:
-        return 2.0 * self.a
-
-    @property
-    def tail_B(self) -> float:
-        return 2.0 * self.b / (self.c + 1.0)
-
-    def as_modified_pareto(self) -> ModifiedPareto:
-        return self._mp
-
-    def tail_pos(self, x):
-        return self._mp.tail_pos(x)
-
-    def tail_neg(self, x):
-        return self._mp.tail_neg(x)
-
-    @property
-    def theta(self) -> float:
-        return self._mp.theta
-
-    @property
-    def a_thresh(self) -> float:
-        return 1.0
-
-    @property
-    def support_radius(self) -> float:
-        return 1.0
-
-    def m2(self, x):
-        return self._mp.m2(x)
-
-    def abs_central_moment(self, gamma: float) -> float:
-        return self._mp.abs_central_moment(gamma)
-
-    @property
-    def supports_infinite_truncation(self) -> bool:
-        return self._mp.supports_infinite_truncation
-
-    def ppf(self, u):
-        return self._mp.ppf(u)
+        beta = alpha * (c + 1.0)
+        for name, value in (("a", a), ("b", b), ("c", c), ("alpha", alpha), ("beta", beta),
+                            ("A", alpha * 2.0 * a), ("B", beta * 2.0 * b / (c + 1.0))):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
 
     def sample(self, rng, size=None):
         # |Z| is a mixture: weight 2a uniform on (0,1), weight 2b/(c+1) with
@@ -527,6 +587,13 @@ class LogPerturbedPareto(DistributionSpec):
     def ell(self, n: int) -> float:
         a_n = self.solve_threshold(n)
         return self.alpha / (2.0 * d_alpha(self.alpha)) * self.K0 * n * math.log(a_n) ** self.beta
+
+    def default_truncation(self, n: int) -> float:
+        """N = (log A_n)^{1/alpha}."""
+        return math.log(self.solve_threshold(n)) ** (1.0 / self.alpha)
+
+    def rate_order(self) -> RateOrder:
+        return RateOrder(-(1.0 - 1.0 / self.alpha), False, in_log_n=True)
 
     def abs_central_moment(self, gamma: float) -> float:
         if not (0.0 < gamma <= 1.0):
@@ -717,6 +784,25 @@ def _tail_integral(tail, lo: float, hi: float, points=()) -> float:
     return total + val
 
 
+def _one_sided_tail(spec: DistributionSpec, sgn: float, root: float, mu: float):
+    """The scalar rule r -> P(sgn (xi - mu) > root r), any real r."""
+    if sgn > 0.0:
+        def tail(r):
+            z = root * r + mu
+            return float(spec.tail_pos(z)) if z >= 0.0 else 1.0 - float(spec.tail_neg(-z))
+    else:
+        def tail(r):
+            z = mu - root * r
+            return float(spec.tail_neg(-z)) if z <= 0.0 else 1.0 - float(spec.tail_pos(z))
+    return tail
+
+
+def _one_sided_kinks(spec: DistributionSpec, sgn: float, root: float, mu: float) -> list:
+    """Where ``_one_sided_tail`` crosses the support edge or the model threshold."""
+    return [(thr - sgn * mu) / root for thr in
+            (spec.support_radius, -spec.support_radius, spec.a_thresh, -spec.a_thresh)]
+
+
 def tail_first_moment(spec: DistributionSpec, t: float) -> float:
     """E[xi 1{xi > t}] for t > 0 via the tail-integral identity."""
     if not (t > 0.0):
@@ -735,39 +821,21 @@ def abs_tail_moment_zeta(spec: DistributionSpec, n: int, N: float) -> float:
     ell = spec.ell(n)
     root = ell ** (1.0 / spec.alpha)
     mu = spec.mean
-
-    def upper(r):
-        z = root * r + mu
-        return float(spec.tail_pos(z)) if z >= 0.0 else 1.0 - float(spec.tail_neg(-z))
-
-    def lower(r):
-        z = mu - root * r
-        return float(spec.tail_neg(-z)) if z <= 0.0 else 1.0 - float(spec.tail_pos(z))
-
     total = 0.0
-    for one_sided, sgn in ((upper, 1.0), (lower, -1.0)):
+    for sgn in (1.0, -1.0):
+        one_sided = _one_sided_tail(spec, sgn, root, mu)
         p = one_sided(N)
-        kinks = [(thr - sgn * mu) / root for thr in
-                 (spec.support_radius, -spec.support_radius, spec.a_thresh, -spec.a_thresh)]
+        kinks = _one_sided_kinks(spec, sgn, root, mu)
         total += N * p + _tail_integral(one_sided, N, math.inf, points=kinks)
     return total
 
 
-# laws whose K1 has a closed form (the Pareto family)
-_CLOSED_K1 = (Pareto, ModifiedPareto, HallTransform)
-
-
 def _k_closed_two_term(spec, n: int, t, N: float):
-    """Closed-form K1 for the Pareto / ModifiedPareto family (mean zero)."""
+    """Closed-form K1 from the law's ``k1_power_terms`` (mean zero)."""
     alpha = spec.alpha
     ell = spec.ell(n)
     root = ell ** (1.0 / alpha)
-    if isinstance(spec, HallTransform):
-        spec = spec.as_modified_pareto()
-    if isinstance(spec, Pareto):
-        pairs = ((spec.alpha, spec.alpha),)
-    else:
-        pairs = ((spec.A, spec.alpha), (spec.B, spec.beta))
+    pairs = spec.k1_power_terms
     t = np.asarray(t, dtype=float)
     ta = np.abs(t)
     out = np.zeros_like(ta)
@@ -791,23 +859,10 @@ def _k_quadrature(spec, n: int, t: float, N: float) -> float:
     mu = spec.mean
     if abs(t) > N:
         return 0.0
-
-    if t >= 0.0:
-        sgn = 1.0
-
-        def zt(r):
-            z = root * r + mu
-            return float(spec.tail_pos(z)) if z >= 0.0 else 1.0 - float(spec.tail_neg(-z))
-    else:
-        sgn = -1.0
-
-        def zt(r):
-            z = mu - root * r
-            return float(spec.tail_neg(-z)) if z <= 0.0 else 1.0 - float(spec.tail_pos(z))
-
+    sgn = 1.0 if t >= 0.0 else -1.0
+    zt = _one_sided_tail(spec, sgn, root, mu)
     a = abs(t)
-    kinks = [(thr - sgn * mu) / root for thr in
-             (spec.support_radius, -spec.support_radius, spec.a_thresh, -spec.a_thresh)]
+    kinks = _one_sided_kinks(spec, sgn, root, mu)
     val = a * zt(a) - N * zt(N) + _tail_integral(zt, max(a, 1e-300), N, points=kinks)
     return max(val, 0.0)
 
@@ -816,8 +871,8 @@ def k_function(spec: DistributionSpec, alpha: float, n: int, t, N: float,
                backend: str = "auto"):
     """Truncated K function of one normalized summand.
 
-    The closed form covers the Pareto family; anything else goes through the
-    tail-integral identity.  ``backend`` is "auto", "closed_form" or
+    A law with ``k1_power_terms`` has the closed form; anything else goes
+    through the tail-integral identity.  ``backend`` is "auto", "closed_form" or
     "quadrature"; an explicitly requested closed form falls back to
     quadrature when the law has none.
     """
@@ -827,7 +882,7 @@ def k_function(spec: DistributionSpec, alpha: float, n: int, t, N: float,
         raise DomainError(f"k_function requires N > 0, got {N}")
     if backend not in ("auto", "closed_form", "quadrature"):
         raise DomainError(f"unknown backend {backend!r}")
-    if backend in ("auto", "closed_form") and isinstance(spec, _CLOSED_K1):
+    if backend in ("auto", "closed_form") and spec.k1_power_terms is not None:
         return _k_closed_two_term(spec, n, t, N)
     return _map_scalar(lambda tt: _k_quadrature(spec, n, tt, N), t)
 
@@ -854,47 +909,6 @@ def k_function_mc(spec: DistributionSpec, alpha: float, n: int, t: float, N: flo
 # L1 discrepancy
 # ---------------------------------------------------------------------------
 
-def _pareto_discrepancy_closed(spec: Pareto, n: int, N: float) -> float:
-    alpha = spec.alpha
-    da = d_alpha(alpha)
-    ell = spec.ell(n)
-    if not math.isinf(N) and N < ell ** (-1.0 / alpha):
-        # truncation below the support gap: K1 vanishes identically there
-        return stable_kernel_mass(alpha, N)
-    return 1.0 / (2.0 - alpha) * (2.0 * da / alpha) ** (2.0 / alpha) * float(n) ** (
-        -(2.0 - alpha) / alpha
-    )
-
-
-def _modified_discrepancy_closed(spec: ModifiedPareto, n: int, N: float) -> float:
-    """Two-term upper estimate of the discrepancy for the two-term family.
-
-    The first-exponent part integrates exactly as in the single-term case;
-    the second-exponent part is integrated on its own, so on the overlap
-    |t| < ell^{-1/alpha} this is an upper estimate of the exact L1 value
-    (the quadrature backend computes the exact integral).
-    """
-    alpha, beta = spec.alpha, spec.beta
-    da = d_alpha(alpha)
-    ell = spec.ell(n)
-    first = 2.0 * da * ell ** ((alpha - 2.0) / alpha) / (2.0 - alpha)
-    if math.isinf(N):
-        if beta <= 2.0:
-            raise DomainError(
-                "N = inf admissible for the two-term family only when beta > 2"
-            )
-        second = 2.0 * spec.B * da / (spec.A * (beta - 2.0)) * ell ** ((alpha - 2.0) / alpha)
-    elif beta == 2.0:
-        second = (2.0 * spec.B * da / spec.A) * ell ** ((alpha - 2.0) / alpha) * (
-            math.log(N) + math.log(ell) / alpha
-        )
-    else:
-        second = 2.0 * spec.B * da / (spec.A * (beta - 2.0)) * (
-            ell ** ((alpha - 2.0) / alpha) - ell ** ((alpha - beta) / alpha) * N ** (2.0 - beta)
-        )
-    return (first + second) / alpha
-
-
 def _discrepancy_quadrature(spec: DistributionSpec, n: int, N: float,
                             tol: float = 1e-6) -> float:
     """(1/alpha) int_{-N}^{N} |alpha Kal - n K1| dt by panelized quadrature.
@@ -908,7 +922,7 @@ def _discrepancy_quadrature(spec: DistributionSpec, n: int, N: float,
     alpha = spec.alpha
     da = d_alpha(alpha)
     ell = spec.ell(n)
-    k1 = _k_closed_two_term if isinstance(spec, _CLOSED_K1) else _k_quadrature
+    k1 = _k_quadrature if spec.k1_power_terms is None else _k_closed_two_term
 
     def n_k(t):
         return n * k1(spec, n, t, N)
@@ -1010,9 +1024,10 @@ def discrepancy_l1(spec: DistributionSpec, alpha: float, n: int, N: float,
                    backend: str = "auto") -> float:
     """sum_i int |Kal/n - K_i/alpha| dt for n i.i.d. normalized summands.
 
-    Closed forms cover the Pareto family (exact for Pareto, the standard
-    two-term upper estimate for ModifiedPareto/HallTransform); the
-    quadrature backend computes the exact integral for any law at finite N.
+    A law's ``discrepancy_closed`` gives the closed form (exact for Pareto,
+    the standard two-term upper estimate for ModifiedPareto and so
+    HallTransform); the quadrature backend computes the exact integral for
+    any law at finite N.
     """
     if abs(alpha - spec.alpha) > 1e-12:
         raise DomainError(f"alpha={alpha} disagrees with spec alpha={spec.alpha}")
@@ -1023,12 +1038,9 @@ def discrepancy_l1(spec: DistributionSpec, alpha: float, n: int, N: float,
     if backend not in ("auto", "closed_form", "quadrature"):
         raise DomainError(f"unknown backend {backend!r}")
     if backend in ("auto", "closed_form"):
-        if isinstance(spec, Pareto):
-            return _pareto_discrepancy_closed(spec, n, N)
-        if isinstance(spec, HallTransform):
-            return _modified_discrepancy_closed(spec.as_modified_pareto(), n, N)
-        if isinstance(spec, ModifiedPareto):
-            return _modified_discrepancy_closed(spec, n, N)
+        closed = spec.discrepancy_closed(n, N)
+        if closed is not None:
+            return closed
         if backend == "closed_form" or math.isinf(N):
             raise DomainError(
                 f"no closed-form discrepancy for {spec.describe()}"

@@ -506,27 +506,3 @@ def fit_rate(spec: DistributionSpec, alpha: float, n_grid: Sequence[int], m: int
         dropped=tuple(dropped), residuals=residuals,
     )
 
-
-def bound_total_slope(spec: DistributionSpec, alpha: float, n_grid: Sequence[int],
-                      gamma: Optional[float] = None, N="auto",
-                      divide_log: bool = False) -> float:
-    """Log-log slope of the assembled bound totals over a grid of n.
-
-    gamma defaults to 2 - alpha, which makes the smoothing term decay at the
-    leading order itself, so pure-power families fit their rate exponent
-    exactly.  ``divide_log`` removes a log ell_n factor before fitting (for
-    the beta = 2 family)."""
-    from .bounds import bound_main, default_truncation
-
-    g = (2.0 - alpha) if gamma is None else gamma
-    logs_n = []
-    logs_t = []
-    for n in n_grid:
-        trunc = default_truncation(spec, int(n)) if N == "auto" else N
-        total = bound_main(spec, alpha, int(n), trunc, g).total
-        if divide_log:
-            total /= math.log(spec.ell(int(n)))
-        logs_n.append(math.log(n))
-        logs_t.append(math.log(total))
-    slope, _ = np.polyfit(logs_n, logs_t, 1)
-    return float(slope)

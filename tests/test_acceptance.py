@@ -15,6 +15,7 @@ import pytest
 
 from stable_stein._quad import panel_nodes
 from stable_stein.bounds import (
+    bound_total_slope,
     log_example_A_n,
     optimize_gamma,
     pareto_bound_table,
@@ -30,7 +31,6 @@ from stable_stein.kernels import (
     k_function_mc,
 )
 from stable_stein.sampling import (
-    bound_total_slope,
     fit_rate,
     sample_stable,
     sample_summand,

@@ -11,6 +11,7 @@ from stable_stein.bounds import (
     TailModel,
     bound_main,
     bound_mthm2,
+    bound_total_slope,
     default_truncation,
     example2_bound,
     figure_gamma_curves,
@@ -28,7 +29,6 @@ from stable_stein.kernels import (
     ModifiedPareto,
     Pareto,
 )
-from stable_stein.sampling import bound_total_slope
 from stable_stein.special import D_alpha, D_alpha_gamma, d_alpha
 
 from reference_tables import BOUND_ANCHOR_CELLS

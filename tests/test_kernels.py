@@ -1,5 +1,6 @@
 """Kernels, summand laws, K functions and the L1 discrepancy."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -100,8 +101,9 @@ class TestSummandLaws:
 
     def test_hall_maps_onto_two_term_family(self):
         h = HallTransform(a=0.3, b=0.24, c=0.2, alpha=1.5)
+        assert isinstance(h, ModifiedPareto)
         assert h.beta == pytest.approx(1.5 * 1.2)
-        mp_eq = h.as_modified_pareto()
+        mp_eq = ModifiedPareto(1.5, h.beta, A=h.A, B=h.B)
         # tails of the transformed variable match the two-term law exactly
         for x in [1.0, 1.7, 5.0, 40.0]:
             expected = 0.3 * x ** -1.5 + (0.24 / 1.2) * x ** -h.beta if x > 1 else 0.5
@@ -109,6 +111,11 @@ class TestSummandLaws:
             assert float(mp_eq.tail_pos(x)) == pytest.approx(expected, rel=1e-14)
         # norming follows the tail-scale convention ell = (2a) alpha n/(2 d)
         assert h.ell(100) == pytest.approx(0.6 * 1.5 / (2 * d_alpha(1.5)) * 100, rel=1e-14)
+
+    def test_hall_replace_rederives_two_term_parameters(self):
+        h = dataclasses.replace(HallTransform(a=0.3, b=0.24, c=0.2, alpha=1.5), alpha=1.6)
+        # equality covers the derived beta, A and B too
+        assert h == HallTransform(a=0.3, b=0.24, c=0.2, alpha=1.6)
 
     def test_hall_sampler_matches_tails(self):
         h = HallTransform(a=0.3, b=0.24, c=0.2, alpha=1.5)
