@@ -18,7 +18,6 @@ from .bounds import (
     Example2Report,
     RateOrder,
     SteinBoundReport,
-    TailModel,
     bound_main,
     bound_mthm2,
     constants_table_d,

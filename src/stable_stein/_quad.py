@@ -45,29 +45,6 @@ def panel_nodes(edges, order: int = 16):
     return nodes.ravel(), weights.ravel()
 
 
-def integrate_panels(f, edges, order: int = 16) -> float:
-    nodes, weights = panel_nodes(edges, order)
-    return float(np.dot(f(nodes), weights))
-
-
-def dyadic_edges(lo_stub: float, hi: float):
-    """Edges doubling from ``lo_stub`` up to ``hi`` (both included)."""
-    if not 0.0 < lo_stub < hi:
-        raise ValueError("need 0 < lo_stub < hi")
-    k = int(np.ceil(np.log2(hi / lo_stub)))
-    edges = hi / (2.0 ** np.arange(k, -1, -1))
-    edges[0] = lo_stub
-    return edges
-
-
-def arithmetic_edges(lo: float, hi: float, step: float):
-    """Edges spaced by ``step`` from ``lo``, always ending exactly at ``hi``."""
-    if hi <= lo:
-        raise ValueError("need hi > lo")
-    count = max(1, int(np.ceil((hi - lo) / step)))
-    return np.linspace(lo, hi, count + 1)
-
-
 # One lock for every first import: threads that import scipy submodules
 # which import each other could otherwise see a partly initialised module.
 _first_import = threading.Lock()

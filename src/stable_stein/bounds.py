@@ -5,15 +5,20 @@ normalized sum S_n and the alpha-stable target by
 
     d_W <= D_alpha * [L1 discrepancy] + R_{N,n},
 
-    R_{N,n} = 2 sum_i E[|zeta_i| 1{|zeta_i| > N}]          (truncation term)
+    R_{N,n} = truncation term
               + 4 d_alpha / ((alpha-1) N^{alpha-1})         (N term)
               + (D_{alpha,gamma}/n) sum_i E|zeta_i|^gamma   (gamma term)
 
-valid for every truncation level N > 0 and every gamma in (0, 1).  For
-i.i.d. summands in the normal domain of attraction there is a second
-assembly whose remainder is written through the tail-model functions M2 and
-the safety factor delta_n = 1 - ell_n^{-1/alpha} N^{-1} |E xi|; with E xi = 0
-it reduces to
+valid for every truncation level N > 0 and every gamma in (0, 1).  One
+assembly builds every report; its two public forms differ only in how they
+bound the truncation term at finite N.  ``bound_main`` takes it exactly,
+
+    2 sum_i E[|zeta_i| 1{|zeta_i| > N}].
+
+``bound_mthm2``, for i.i.d. summands in the normal domain of attraction,
+writes it through the law's tail model: the tail scale theta, the function
+M2 and the safety factor delta_n = 1 - ell_n^{-1/alpha} N^{-1} |E xi|.  With
+E xi = 0 the remainder reduces to
 
     R_{N,n} = D_{alpha,gamma} E|xi|^gamma ell_n^{-gamma/alpha}
               + 4 d_alpha ( (alpha+1)/(alpha-1) + M2(ell^{1/alpha} N)
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -44,12 +49,12 @@ from ._quad import minimize_scalar, quad
 from .errors import DomainError
 from .kernels import (
     DistributionSpec,
-    GeneralTail,
     ModifiedPareto,
     Pareto,
     RateOrder,
     ThresholdSolution,
     abs_tail_moment_zeta,
+    check_spec_alpha,
     discrepancy_l1,
     solve_log_tail_scale,
 )
@@ -64,7 +69,6 @@ from .special import (
 __all__ = [
     "SteinBoundReport",
     "Example2Report",
-    "TailModel",
     "RateOrder",
     "bound_main",
     "bound_mthm2",
@@ -137,74 +141,6 @@ class Example2Report(SteinBoundReport):
 
 
 # ---------------------------------------------------------------------------
-# tail model
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class TailModel:
-    """Tail-model view of an i.i.d. summand law.
-
-    Wraps a DistributionSpec together with its threshold tail description
-    (theta, M1, M2) and exposes the derived quantities used by the second
-    assembly: b_t, r_t, delta_n.
-    """
-
-    spec: DistributionSpec
-    theta: float
-    a_thresh: float
-    m1: Callable[[float], float]
-    m2: Callable[[float], float]
-    mean: float
-
-    @classmethod
-    def from_spec(cls, spec: DistributionSpec) -> "TailModel":
-        """A law without a tail scale (``theta`` raises DomainError, as for
-        slowly varying tails) has no tail model."""
-        return cls(
-            spec=spec,
-            theta=spec.theta,
-            a_thresh=spec.a_thresh,
-            m1=lambda x: float(spec.m1(x)),
-            m2=lambda x: float(spec.m2(x)),
-            mean=spec.mean,
-        )
-
-    @classmethod
-    def from_functions(cls, alpha: float, theta: float, a_thresh: float,
-                       m1: Callable[[float], float],
-                       m2: Callable[[float], float]) -> "TailModel":
-        spec = GeneralTail(alpha=alpha, theta_scale=theta, A_thresh=a_thresh,
-                           m1_fn=m1, m2_fn=m2)
-        return cls.from_spec(spec)
-
-    @property
-    def alpha(self) -> float:
-        return self.spec.alpha
-
-    def ell(self, n: int) -> float:
-        return self.spec.ell(n)
-
-    def b_t(self, t: float, n: int) -> float:
-        return self.ell(n) ** (1.0 / self.alpha) * t + self.mean
-
-    def r_t(self, t: float, n: int) -> float:
-        b = self.b_t(t, n)
-        combo = lambda s: self.m1(s) + self.m2(s) + self.m1(s) * self.m2(s)
-        head = 0.5 * b ** (1.0 - self.alpha) * combo(b)
-
-        def integrand(w):
-            if w > 690.0:
-                return 0.0
-            return combo(math.exp(w)) * math.exp((1.0 - self.alpha) * w)
-
-        tail, _ = quad(integrand, math.log(b), np.inf, limit=200)
-        return head + 0.5 * tail
-
-    def delta_n(self, n: int, N: float) -> float:
-        return 1.0 - self.ell(n) ** (-1.0 / self.alpha) / N * abs(self.mean)
-
-
-# ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
 
@@ -216,31 +152,6 @@ def _validate_bound_args(alpha, gamma, n, N, alpha_limits):
         raise DomainError(f"n must be a positive integer, got {n}")
     if not (N > 0.0):
         raise DomainError(f"N must be positive (or inf), got {N}")
-
-
-def _report(spec: DistributionSpec, alpha: float, gamma: float, n: int, N: float,
-            disc: float, trunc: float, n_term: float, gam: float,
-            target_scale: float) -> SteinBoundReport:
-    """The report of one assembly from its four terms.
-
-    ``target_scale`` sigma scales every term and the total by
-    sigma^{1/alpha}, the bound for the sigma-scaled target.
-    """
-    rate = spec.rate_order()
-    total = D_alpha(alpha) * disc + trunc + n_term + gam
-    report = SteinBoundReport(
-        alpha=alpha, gamma=gamma, n=int(n), N=N,
-        discrepancy_term=disc, truncation_term=trunc, N_term=n_term,
-        gamma_term=gam, total=total,
-        rate_exponent=rate.exponent, has_log_factor=rate.has_log_factor,
-    )
-    factor = target_scale ** (1.0 / alpha)
-    if factor == 1.0:
-        return report
-    d = asdict(report)
-    for key in ("discrepancy_term", "truncation_term", "N_term", "gamma_term", "total"):
-        d[key] = d[key] * factor
-    return SteinBoundReport(**d)
 
 
 def default_truncation(spec: DistributionSpec, n: int):
@@ -256,8 +167,103 @@ def default_truncation(spec: DistributionSpec, n: int):
 
 
 # ---------------------------------------------------------------------------
-# main assemblies
+# the assembly and its two truncation rules
 # ---------------------------------------------------------------------------
+
+def _assemble(spec: DistributionSpec, alpha: float, n: int, N: float, gamma: float,
+              truncation, target_scale: float, backend: str,
+              alpha_limits) -> SteinBoundReport:
+    """The bound whose truncation term at finite N is
+    ``truncation(spec, alpha, n, N, n_term)``.
+
+    The rule runs before the discrepancy and the gamma term, so a law it
+    rejects costs none of their quadrature.  At N = inf, where the law
+    admits it, the truncation and N terms take their limit 0.
+    ``target_scale`` sigma scales every term and the total by
+    sigma^{1/alpha}, the bound for the sigma-scaled target.
+    """
+    check_spec_alpha(spec, alpha)
+    _validate_bound_args(alpha, gamma, n, N, alpha_limits)
+    if math.isinf(N) and not spec.supports_infinite_truncation:
+        raise DomainError(
+            f"N = inf is not admissible for {spec.describe()}: "
+            "the truncated terms have no finite limit"
+        )
+    if not math.isfinite(spec.mean):
+        raise DomainError("summand law must have a finite first moment")
+    if math.isinf(N):
+        trunc = n_term = 0.0
+    else:
+        n_term = 4.0 * d_alpha(alpha) / ((alpha - 1.0) * N ** (alpha - 1.0))
+        trunc = truncation(spec, alpha, n, N, n_term)
+    disc = discrepancy_l1(spec, alpha, n, N, backend=backend)
+    gam = D_alpha_gamma(alpha, gamma) * spec.ell(n) ** (-gamma / alpha) * \
+        spec.abs_central_moment(gamma)
+    total = D_alpha(alpha) * disc + trunc + n_term + gam
+    factor = target_scale ** (1.0 / alpha)
+    if factor != 1.0:
+        disc, trunc, n_term, gam, total = (v * factor for v in (disc, trunc, n_term, gam, total))
+    rate = spec.rate_order()
+    return SteinBoundReport(
+        alpha=alpha, gamma=gamma, n=int(n), N=N,
+        discrepancy_term=disc, truncation_term=trunc, N_term=n_term, gamma_term=gam,
+        total=total, rate_exponent=rate.exponent, has_log_factor=rate.has_log_factor,
+    )
+
+
+def _exact_truncation(spec, alpha, n, N, n_term):
+    """2 n E[|zeta| 1{|zeta| > N}]."""
+    return 2.0 * n * abs_tail_moment_zeta(spec, n, N)
+
+
+def _m2_tail_integral(spec: DistributionSpec, scale: float) -> float:
+    """int_1^inf M2(r * scale) r^{-alpha} dr (log-substituted)."""
+    alpha = spec.alpha
+
+    def integrand(w):
+        if w > 690.0:
+            return 0.0
+        return float(spec.m2(math.exp(w) * scale)) * math.exp((1.0 - alpha) * w)
+
+    val, _ = quad(integrand, 0.0, np.inf, limit=200)
+    return val
+
+
+def _tail_model_truncation(spec, alpha, n, N, n_term):
+    """The truncation term written through the tail model (theta, M2).
+
+    The symmetric remainder when E xi = 0, the delta_n form otherwise.  It
+    bounds, rather than equals, the exact truncated expectation.
+    """
+    spec.theta      # a law without a tail scale raises DomainError here
+    da = d_alpha(alpha)
+    ell = spec.ell(n)
+    root = ell ** (1.0 / alpha)
+    mean = spec.mean
+    if mean == 0.0:
+        m2_at = float(spec.m2(root * N))
+        m2_int = _m2_tail_integral(spec, root * N)
+        return 4.0 * da * (alpha / (alpha - 1.0) + m2_at + m2_int) * N ** (1.0 - alpha)
+    delta = 1.0 - ell ** (-1.0 / spec.alpha) / N * abs(mean)
+    if delta <= 0.0:
+        raise DomainError(
+            f"delta_n <= 0: N={N} is too small for n={n}; "
+            f"need N > {root ** -1.0 * abs(mean):.6g}"
+        )
+    m2_at = float(spec.m2(root * N * delta))
+
+    def delta_integrand(w):
+        if w > 690.0:
+            return 0.0
+        return float(spec.m2(math.exp(w) * root * N)) * math.exp((1.0 - alpha) * w) \
+            / delta ** (1.0 - alpha)
+
+    m2_int_raw = quad(delta_integrand, math.log(delta), np.inf, limit=200)[0]
+    bracket = (1.0 + delta ** (alpha - 1.0)) / (alpha - 1.0) + 1.0 / delta \
+        + m2_at / delta + m2_int_raw
+    piece = 4.0 * da / delta ** (alpha - 1.0) * bracket * N ** (1.0 - alpha)
+    return piece - n_term
+
 
 def bound_main(spec: DistributionSpec, alpha: float, n: int, N: float, gamma: float,
                *, target_scale: float = 1.0, backend: str = "auto",
@@ -268,98 +274,22 @@ def bound_main(spec: DistributionSpec, alpha: float, n: int, N: float, gamma: fl
     analytic limit).  ``target_scale`` sigma reports the bound for the
     sigma-scaled target, which is sigma^{1/alpha} times the unit bound.
     """
-    if abs(alpha - spec.alpha) > 1e-12:
-        raise DomainError(f"alpha={alpha} disagrees with spec alpha={spec.alpha}")
-    _validate_bound_args(alpha, gamma, n, N, alpha_limits)
-    if math.isinf(N) and not spec.supports_infinite_truncation:
-        raise DomainError(
-            f"N = inf is not admissible for {spec.describe()}: "
-            "the truncated terms have no finite limit"
-        )
-    if not math.isfinite(spec.mean):
-        raise DomainError("summand law must have a finite first moment")
-    disc = discrepancy_l1(spec, alpha, n, N, backend=backend)
-    if math.isinf(N):
-        trunc = 0.0
-        n_term = 0.0
-    else:
-        trunc = 2.0 * n * abs_tail_moment_zeta(spec, n, N)
-        n_term = 4.0 * d_alpha(alpha) / ((alpha - 1.0) * N ** (alpha - 1.0))
-    gam = D_alpha_gamma(alpha, gamma) * spec.ell(n) ** (-gamma / alpha) * \
-        spec.abs_central_moment(gamma)
-    return _report(spec, alpha, gamma, n, N, disc, trunc, n_term, gam, target_scale)
+    return _assemble(spec, alpha, n, N, gamma, _exact_truncation,
+                     target_scale, backend, alpha_limits)
 
 
-def _m2_tail_integral(model: TailModel, scale: float, lo: float) -> float:
-    """int_lo^inf M2(r * scale) r^{-alpha} dr (log-substituted)."""
-    alpha = model.alpha
-
-    def integrand(w):
-        if w > 690.0:
-            return 0.0
-        return model.m2(math.exp(w) * scale) * math.exp((1.0 - alpha) * w)
-
-    val, _ = quad(integrand, math.log(lo), np.inf, limit=200)
-    return val
-
-
-def bound_mthm2(model, alpha: float, n: int, N: float, gamma: float,
+def bound_mthm2(spec: DistributionSpec, alpha: float, n: int, N: float, gamma: float,
                 *, target_scale: float = 1.0, backend: str = "auto",
                 alpha_limits=DEFAULT_ALPHA_LIMITS) -> SteinBoundReport:
-    """Second assembly: remainder written through the tail model.
+    """Second assembly: remainder written through the law's tail model.
 
-    ``model`` is a TailModel or a DistributionSpec (wrapped automatically).
-    Uses the symmetric remainder when E xi = 0, the delta_n form otherwise.
-    The truncation piece here bounds, rather than equals, the exact
-    truncated expectation, so it is slightly larger than the first
-    assembly's at finite N; both agree at N = inf.
+    Reads ``theta``, ``m2``, ``mean`` and ``ell`` from the law; a tail model
+    given by functions is a ``GeneralTail``.  The truncation piece bounds,
+    rather than equals, the exact truncated expectation, so it is slightly
+    larger than the first assembly's at finite N; both agree at N = inf.
     """
-    if isinstance(model, DistributionSpec):
-        model = TailModel.from_spec(model)
-    spec = model.spec
-    if abs(alpha - spec.alpha) > 1e-12:
-        raise DomainError(f"alpha={alpha} disagrees with spec alpha={spec.alpha}")
-    _validate_bound_args(alpha, gamma, n, N, alpha_limits)
-    da = d_alpha(alpha)
-    ell = model.ell(n)
-    root = ell ** (1.0 / alpha)
-    gam = D_alpha_gamma(alpha, gamma) * ell ** (-gamma / alpha) * \
-        spec.abs_central_moment(gamma)
-    if math.isinf(N):
-        if not spec.supports_infinite_truncation:
-            raise DomainError(
-                f"N = inf is not admissible for {spec.describe()}"
-            )
-        trunc = 0.0
-        n_term = 0.0
-    elif model.mean == 0.0:
-        m2_at = model.m2(root * N)
-        m2_int = _m2_tail_integral(model, root * N, 1.0)
-        n_term = 4.0 * da / ((alpha - 1.0) * N ** (alpha - 1.0))
-        trunc = 4.0 * da * (alpha / (alpha - 1.0) + m2_at + m2_int) * N ** (1.0 - alpha)
-    else:
-        delta = model.delta_n(n, N)
-        if delta <= 0.0:
-            raise DomainError(
-                f"delta_n <= 0: N={N} is too small for n={n}; "
-                f"need N > {root ** -1.0 * abs(model.mean):.6g}"
-            )
-        m2_at = model.m2(root * N * delta)
-
-        def delta_integrand(w):
-            if w > 690.0:
-                return 0.0
-            return model.m2(math.exp(w) * root * N) * math.exp((1.0 - alpha) * w) \
-                / delta ** (1.0 - alpha)
-
-        m2_int_raw = quad(delta_integrand, math.log(delta), np.inf, limit=200)[0]
-        bracket = (1.0 + delta ** (alpha - 1.0)) / (alpha - 1.0) + 1.0 / delta \
-            + m2_at / delta + m2_int_raw
-        piece = 4.0 * da / delta ** (alpha - 1.0) * bracket * N ** (1.0 - alpha)
-        n_term = 4.0 * da / ((alpha - 1.0) * N ** (alpha - 1.0))
-        trunc = piece - n_term
-    disc = discrepancy_l1(spec, alpha, n, N, backend=backend)
-    return _report(spec, alpha, gamma, n, N, disc, trunc, n_term, gam, target_scale)
+    return _assemble(spec, alpha, n, N, gamma, _tail_model_truncation,
+                     target_scale, backend, alpha_limits)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +306,8 @@ def rate_order(spec: DistributionSpec, alpha: Optional[float] = None) -> RateOrd
     Log-perturbed tails: (log n)^{-(1-1/alpha)}.
     Anything else is reported unclassified, not guessed.
     """
-    if alpha is not None and abs(alpha - spec.alpha) > 1e-12:
-        raise DomainError(f"alpha={alpha} disagrees with spec alpha={spec.alpha}")
+    if alpha is not None:
+        check_spec_alpha(spec, alpha)
     return spec.rate_order()
 
 

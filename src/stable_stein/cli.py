@@ -10,7 +10,8 @@ Conventions
 * stdout carries machine-readable output only; progress and diagnostics go
   to stderr.  Each subcommand accepts only the --format it emits (CSV or
   JSON; rate-fit emits either) and --precision extended only where it is
-  read (constants, table3).
+  read (constants, table3).  Likewise each --spec accepts only the law
+  flags it reads.
 * every run echoes its resolved configuration to stderr as one line
   ``CONFIG {json}``; saving that object to a file and re-running with
   ``--config file`` reproduces the output byte for byte.
@@ -105,12 +106,34 @@ def _parse_seed(text: str) -> int:
     return value
 
 
+def _parse_finite(text: str, positive: bool) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        kind = "positive" if positive else "non-negative"
+        raise argparse.ArgumentTypeError(f"expected a finite {kind} number, got {text!r}")
+    return value
+
+
 def _parse_n_value(text: str) -> float:
     if text in ("inf", "Inf", "INF"):
         return math.inf
     if text == "auto":
         return text
     return float(text)
+
+
+# the law flags, and the ones each --spec reads; giving any other one is a
+# usage error
+_LAW_FLAGS = ("beta", "A", "B", "c", "K0", "x0")
+_SPEC_FLAGS = {
+    "pareto": (),
+    "modified-pareto": ("beta", "A", "B"),
+    "hall": ("A", "B", "c"),
+    "log-pareto": ("beta", "K0", "x0"),
+}
 
 
 def build_spec(args) -> object:
@@ -323,12 +346,8 @@ def _add_spec_flags(p):
     p.add_argument("--spec", default="pareto",
                    choices=["pareto", "modified-pareto", "hall", "log-pareto"])
     p.add_argument("--alpha", type=float, default=1.5)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--A", type=float, default=None)
-    p.add_argument("--B", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--K0", type=float, default=None)
-    p.add_argument("--x0", type=float, default=None)
+    for flag in _LAW_FLAGS:
+        p.add_argument(f"--{flag}", type=float, default=None)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -396,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="density/cdf table of the stable target")
     p.add_argument("--alpha", type=float, default=1.5)
-    p.add_argument("--xmax", type=float, default=5.0)
-    p.add_argument("--step", type=float, default=0.1)
+    p.add_argument("--xmax", type=lambda t: _parse_finite(t, positive=False), default=5.0)
+    p.add_argument("--step", type=lambda t: _parse_finite(t, positive=True), default=0.1)
     _add_common(p)
 
     p = sub.add_parser("an-solver", help="norming threshold of the log-tailed family")
@@ -482,6 +501,11 @@ def main(argv: Optional[list] = None) -> int:
     if "--config" in argv:
         argv = _apply_config_file(argv, ap)
     args = ap.parse_args(argv)
+    if hasattr(args, "spec"):
+        unread = [f"--{flag}" for flag in _LAW_FLAGS
+                  if getattr(args, flag) is not None and flag not in _SPEC_FLAGS[args.spec]]
+        if unread:
+            ap.error(f"--spec {args.spec} does not read {', '.join(unread)}")
     try:
         smp.resolve_threads()       # a bad thread cap is a usage error
     except DomainError as exc:

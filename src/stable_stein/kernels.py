@@ -107,13 +107,6 @@ class DistributionSpec:
     def tail_abs(self, x):
         return self.tail_pos(x) + self.tail_neg(x)
 
-    def left_mass(self, z):
-        """P(xi <= z) for any real z (atoms on the boundary included)."""
-        z = np.asarray(z, dtype=float)
-        out = np.where(z >= 0.0, 1.0 - self.tail_pos(np.maximum(z, 0.0)),
-                       self.tail_neg(np.maximum(-z, 0.0)))
-        return out if out.ndim else float(out)
-
     # -- tail model -------------------------------------------------------
     @property
     def theta(self) -> float:
@@ -211,6 +204,12 @@ def _map_scalar(rule, x):
 def _check_alpha_12(alpha, who):
     if not (1.0 < alpha < 2.0):
         raise DomainError(f"{who} requires alpha in (1, 2), got {alpha}")
+
+
+def check_spec_alpha(spec: DistributionSpec, alpha: float) -> None:
+    """Reject an alpha that disagrees with the summand law's own."""
+    if abs(alpha - spec.alpha) > 1e-12:
+        raise DomainError(f"alpha={alpha} disagrees with spec alpha={spec.alpha}")
 
 
 @dataclass(frozen=True)
@@ -531,18 +530,14 @@ class LogPerturbedPareto(DistributionSpec):
                 )
             x0 = brentq(g, lo, hi, xtol=1e-13, rtol=1e-15)
             object.__setattr__(self, "x0", x0)
+        elif x0 <= math.exp(max(1.0, self.beta / self.alpha)):
+            raise DomainError(
+                f"LogPerturbedPareto requires x0 > e^(max(1, beta/alpha)), got {x0}"
+            )
         elif K0 is None:
-            if x0 <= math.exp(max(1.0, self.beta / self.alpha)):
-                raise DomainError(
-                    f"LogPerturbedPareto requires x0 > e^(max(1, beta/alpha)), got {x0}"
-                )
             K0 = x0 ** self.alpha / math.log(x0) ** self.beta
             object.__setattr__(self, "K0", K0)
         else:
-            if x0 <= math.exp(max(1.0, self.beta / self.alpha)):
-                raise DomainError(
-                    f"LogPerturbedPareto requires x0 > e^(max(1, beta/alpha)), got {x0}"
-                )
             defect = abs(K0 * math.log(x0) ** self.beta / x0 ** self.alpha - 1.0)
             if defect > 1e-9:
                 raise DomainError(
@@ -803,14 +798,20 @@ def _one_sided_kinks(spec: DistributionSpec, sgn: float, root: float, mu: float)
             (spec.support_radius, -spec.support_radius, spec.a_thresh, -spec.a_thresh)]
 
 
+def _one_sided_tail_moment(spec: DistributionSpec, sgn: float, root: float, mu: float,
+                           t: float) -> float:
+    """E[Y 1{Y > t}] for Y = sgn (xi - mu) / root and t > 0, via the
+    tail-integral identity."""
+    tail = _one_sided_tail(spec, sgn, root, mu)
+    return t * tail(t) + _tail_integral(tail, t, math.inf,
+                                        points=_one_sided_kinks(spec, sgn, root, mu))
+
+
 def tail_first_moment(spec: DistributionSpec, t: float) -> float:
     """E[xi 1{xi > t}] for t > 0 via the tail-integral identity."""
     if not (t > 0.0):
         raise DomainError(f"tail_first_moment requires t > 0, got {t}")
-    p = float(spec.tail_pos(t))
-    kinks = (spec.support_radius, spec.a_thresh)
-    return t * p + _tail_integral(lambda s: float(spec.tail_pos(s)), t, math.inf,
-                                  points=kinks)
+    return _one_sided_tail_moment(spec, 1.0, 1.0, 0.0, t)
 
 
 def abs_tail_moment_zeta(spec: DistributionSpec, n: int, N: float) -> float:
@@ -818,16 +819,9 @@ def abs_tail_moment_zeta(spec: DistributionSpec, n: int, N: float) -> float:
 
     zeta = ell^{-1/alpha}(xi - E xi); both signed tails enter.
     """
-    ell = spec.ell(n)
-    root = ell ** (1.0 / spec.alpha)
+    root = spec.ell(n) ** (1.0 / spec.alpha)
     mu = spec.mean
-    total = 0.0
-    for sgn in (1.0, -1.0):
-        one_sided = _one_sided_tail(spec, sgn, root, mu)
-        p = one_sided(N)
-        kinks = _one_sided_kinks(spec, sgn, root, mu)
-        total += N * p + _tail_integral(one_sided, N, math.inf, points=kinks)
-    return total
+    return sum(_one_sided_tail_moment(spec, sgn, root, mu, N) for sgn in (1.0, -1.0))
 
 
 def _k_closed_two_term(spec, n: int, t, N: float):
@@ -876,8 +870,7 @@ def k_function(spec: DistributionSpec, alpha: float, n: int, t, N: float,
     "quadrature"; an explicitly requested closed form falls back to
     quadrature when the law has none.
     """
-    if abs(alpha - spec.alpha) > 1e-12:
-        raise DomainError(f"alpha={alpha} disagrees with spec alpha={spec.alpha}")
+    check_spec_alpha(spec, alpha)
     if not (N > 0.0):
         raise DomainError(f"k_function requires N > 0, got {N}")
     if backend not in ("auto", "closed_form", "quadrature"):
@@ -933,20 +926,8 @@ def _discrepancy_quadrature(spec: DistributionSpec, n: int, N: float,
     def diff(t):
         return a_kal(t) - n_k(t)
 
-    # kinks/jumps of K1 appear where the scaled argument crosses the
-    # tail-model threshold, the support edge, or the origin
     mu = spec.mean
     root = ell ** (1.0 / alpha)
-
-    def structural_points(sgn: float):
-        pts = []
-        for s in (spec.a_thresh, -spec.a_thresh, spec.support_radius,
-                  -spec.support_radius, 0.0):
-            z = (s - mu) / root
-            t_break = z if sgn > 0 else -z
-            if t_break > 0.0:
-                pts.append(t_break)
-        return pts
 
     def one_side(sgn: float, lo: float) -> float:
         """int_lo^N |alpha Kal(t) - n K1(sgn t)| dt, integrated in log space.
@@ -972,7 +953,10 @@ def _discrepancy_quadrature(spec: DistributionSpec, n: int, N: float,
                     cuts.add(brentq(signed, probes[i], probes[i + 1], xtol=1e-14))
                 except ValueError:
                     pass
-        cuts.update(p for p in structural_points(sgn) if lo < p < N)
+        # kinks/jumps of K1: where the scaled argument crosses the
+        # tail-model threshold, the support edge, or the origin
+        kinks = _one_sided_kinks(spec, sgn, root, mu) + [-sgn * mu / root]
+        cuts.update(p for p in kinks if lo < p < N)
         edges = [lo] + sorted(cuts) + [N]
         total_val = 0.0
         total_err = 0.0
@@ -1029,8 +1013,7 @@ def discrepancy_l1(spec: DistributionSpec, alpha: float, n: int, N: float,
     HallTransform); the quadrature backend computes the exact integral for
     any law at finite N.
     """
-    if abs(alpha - spec.alpha) > 1e-12:
-        raise DomainError(f"alpha={alpha} disagrees with spec alpha={spec.alpha}")
+    check_spec_alpha(spec, alpha)
     if n < 1:
         raise DomainError(f"discrepancy_l1 requires n >= 1, got {n}")
     if not (N > 0.0):

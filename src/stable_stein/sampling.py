@@ -64,7 +64,7 @@ from numpy.random import Generator, Philox
 
 from .density import StableLaw, QuantileTable, quantile_table
 from .errors import DomainError, NonFiniteSampleError
-from .kernels import DistributionSpec
+from .kernels import DistributionSpec, check_spec_alpha
 
 __all__ = [
     "substream",
@@ -474,8 +474,7 @@ def fit_rate(spec: DistributionSpec, alpha: float, n_grid: Sequence[int], m: int
         raise DomainError("fit_rate needs at least 4 grid points")
     if sorted(n_grid) != list(n_grid):
         raise DomainError("n_grid must be increasing")
-    if abs(alpha - spec.alpha) > 1e-12:
-        raise DomainError(f"alpha={alpha} disagrees with spec alpha={spec.alpha}")
+    check_spec_alpha(spec, alpha)
     target = target or StableLaw(alpha)
     _check_w1_args(m, estimator, target, alpha)     # before the grid is drawn
     results = []

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stable_stein.bounds import (
-    TailModel,
     bound_main,
     bound_mthm2,
     bound_total_slope,
@@ -160,21 +159,19 @@ class TestBoundMthm2:
         ok = bound_mthm2(gt, 1.5, n, 5.0, 0.5)
         assert ok.total > 0.0
 
-    def test_accepts_tail_model_wrapper(self):
-        model = TailModel.from_spec(Pareto(1.5))
-        rep = bound_mthm2(model, 1.5, 10 ** 4, 10.0, 0.5)
-        assert rep.total > 0.0
+    def test_log_family_rejected_before_quadrature(self, monkeypatch):
+        # no tail scale theta: rejected before the discrepancy or the
+        # gamma term's moment is computed
+        import stable_stein.bounds as bnd
 
-    def test_model_from_functions(self):
-        model = TailModel.from_functions(1.5, 1.0, 1.0,
-                                         lambda x: 0.0, lambda x: 0.0)
-        assert model.delta_n(100, 5.0) == 1.0
-        assert model.r_t(1.0, 100) == pytest.approx(0.0, abs=1e-12)
-        assert model.b_t(1.0, 100) == pytest.approx(model.ell(100) ** (1 / 1.5))
+        def forbidden(*args, **kwargs):
+            raise AssertionError("quadrature reached for a law without a tail scale")
 
-    def test_tail_model_rejects_log_family(self):
-        with pytest.raises(DomainError):
-            TailModel.from_spec(LogPerturbedPareto(1.5, 1.0, x0=5.0))
+        monkeypatch.setattr(bnd, "discrepancy_l1", forbidden)
+        monkeypatch.setattr(LogPerturbedPareto, "abs_central_moment", forbidden)
+        spec = LogPerturbedPareto(1.5, 1.0, x0=5.0)
+        with pytest.raises(DomainError, match="tail scale"):
+            bound_mthm2(spec, 1.5, 10 ** 4, default_truncation(spec, 10 ** 4), 0.5)
 
 
 class TestRateOrder:

@@ -246,6 +246,40 @@ class TestUsageErrors:
     def test_unknown_flag(self):
         self.assert_usage_error(run_cli("bound", "--nonsense", "1"), "--nonsense")
 
+    @pytest.mark.parametrize("argv,unread", [
+        (("bound", "--spec", "pareto", "--beta", "3", "--K0", "7", "--c", "0.1"),
+         ("--beta", "--K0", "--c")),
+        (("rate-order", "--spec", "hall", "--A", "0.6", "--c", "0.2", "--x0", "9",
+          "--beta", "5"), ("--x0", "--beta")),
+        (("bound", "--spec", "log-pareto", "--x0", "5", "--A", "0.3"), ("--A",)),
+        (("simulate", "--spec", "modified-pareto", "--beta", "4", "--c", "1"), ("--c",)),
+    ])
+    def test_spec_flag_the_spec_does_not_read(self, argv, unread):
+        r = run_cli(*argv)
+        for flag in unread:
+            self.assert_usage_error(r, flag)
+        assert "CONFIG {" not in r.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("--spec", "pareto"),
+        ("--spec", "modified-pareto", "--beta", "4", "--A", "0.75", "--B", "2"),
+        ("--spec", "hall", "--A", "0.6", "--B", "0.4", "--c", "0.2"),
+        ("--spec", "log-pareto", "--beta", "1", "--x0", "5",
+         "--K0", repr(5.0 ** 1.5 / math.log(5.0))),
+    ])
+    def test_every_flag_a_spec_reads_is_accepted(self, argv, capsys):
+        assert main(["rate-order", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["classified"] is True
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--step", "0"), ("--step", "-0.1"), ("--step", "nan"), ("--step", "inf"),
+        ("--xmax", "-1"), ("--xmax", "inf"),
+    ])
+    def test_density_grid_out_of_range(self, flag, value):
+        r = run_cli("density", flag, value)
+        self.assert_usage_error(r, flag)
+        assert "CONFIG {" not in r.stderr
+
     @pytest.mark.parametrize("value", ["abc", "1.5", "2 threads"])
     def test_bad_thread_cap(self, value):
         r = subprocess.run(CLI + ["simulate", "--n", "10", "--m", "200"],

@@ -97,6 +97,11 @@ def _cases():
         for N in (50.0, 500.0):
             cases[f"general/{asm}/n=1000000/N={N}"] = lambda asm=asm, N=N: getattr(
                 bnd, asm)(FAMILIES["general"](), 1.5, 10 ** 6, N, 0.5)
+    # the delta_n form of the second assembly with a nonzero M2
+    cases["general_mean_m2/bound_mthm2/n=1000"] = lambda: bnd.bound_mthm2(
+        ker.GeneralTail(alpha=1.5, theta_scale=1.0, A_thresh=2.0,
+                        m1_fn=lambda x: 0.5 * x ** -0.5, m2_fn=lambda x: 0.3 * x ** -0.7),
+        1.5, 1000, 5.0, 0.5)
     for beta in (4.0, 2.0, 1.8):
         w = 1.5 * beta / (1.5 + beta)
         cases[f"example2_bound/beta={beta}"] = \
@@ -146,6 +151,7 @@ EXPECTED = {
     'general/k_function/t=0.01': '0.0056823402326964196',
     'general/k_function/t=0.7': '0.0004470916020039136',
     'general/rate_order': 'RateOrder(exponent=nan, has_log_factor=False, in_log_n=False, classified=False)',
+    'general_mean_m2/bound_mthm2/n=1000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000, N=5.0, discrepancy_term=0.14245923634651358, truncation_term=1.6090203578600444, N_term=1.0704744696916628, gamma_term=1.7098748233377448, total=5.174287324564748, rate_exponent=nan, has_log_factor=False)',
     'hall/abs_central_moment': '1.4538461538461538',
     'hall/abs_tail_moment_zeta': '0.0005734648393734927',
     'hall/bound_main/n=1000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000, N=8.086920907269151, discrepancy_term=0.4915091987573535, truncation_term=0.8937663210438386, N_term=0.8417240156181972, gamma_term=2.2990477286279347, total=6.742640865590236, rate_exponent=-0.14285714285714274, has_log_factor=False)',
