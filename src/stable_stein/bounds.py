@@ -39,6 +39,7 @@ second exponent beta > 2), and rejected otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -423,6 +424,15 @@ def example2_bound(A: float, B: float, alpha: float, beta: float, gamma: float,
 # optimizers
 # ---------------------------------------------------------------------------
 
+_GAMMA_SCAN = np.linspace(0.01, 0.99, 99)
+
+
+@functools.lru_cache(maxsize=256)
+def _holder_scan(alpha: float) -> tuple:
+    """D_alpha_gamma(alpha, g) on the scan grid, shared by every law and n."""
+    return tuple(D_alpha_gamma(alpha, g) for g in _GAMMA_SCAN.tolist())
+
+
 def optimize_gamma(spec: DistributionSpec, alpha: float, n: int, N,
                    gamma_grid: Optional[Sequence[float]] = None,
                    *, alpha_limits=DEFAULT_ALPHA_LIMITS):
@@ -431,6 +441,8 @@ def optimize_gamma(spec: DistributionSpec, alpha: float, n: int, N,
     With ``gamma_grid`` the search is restricted to the given values.
     Otherwise a 99-point scan locates the basin and a bounded scalar
     minimization refines it (the scan guards against spurious local minima).
+    The scan's Holder constants depend on alpha alone and are memoized per
+    float(alpha) (a bounded, thread-safe ``functools.lru_cache``).
     Returns (gamma_star, total_star).
     """
     if N == "auto":
@@ -441,16 +453,18 @@ def optimize_gamma(spec: DistributionSpec, alpha: float, n: int, N,
     fixed = base.total - base.gamma_term
     ell_pow = spec.ell(n) ** (-1.0 / alpha)
 
-    def total(g: float) -> float:
-        return fixed + D_alpha_gamma(alpha, g) * ell_pow ** g * spec.abs_central_moment(g)
+    def total(g: float, holder=None) -> float:
+        if holder is None:
+            holder = D_alpha_gamma(alpha, g)
+        return fixed + holder * ell_pow ** g * spec.abs_central_moment(g)
 
     if gamma_grid is not None:
         pairs = [(float(g), total(float(g))) for g in gamma_grid]
         t_min = min(v for _, v in pairs)
         g_min = min(g for g, v in pairs if v == t_min)
         return g_min, t_min
-    grid = np.linspace(0.01, 0.99, 99)
-    values = [total(float(g)) for g in grid]
+    grid = _GAMMA_SCAN
+    values = [total(g, d) for g, d in zip(grid.tolist(), _holder_scan(float(alpha)))]
     idx = int(np.argmin(values))
     lo = grid[max(idx - 1, 0)]
     hi = grid[min(idx + 1, len(grid) - 1)]

@@ -313,8 +313,9 @@ def cmd_density(args):
     xs = np.arange(-args.xmax, args.xmax + args.step / 2.0, args.step)
     lines = ["x,p,cdf"]
     for x in xs:
+        # + 0.0 prints a grid point at -0.0 as 0
         lines.append(",".join([
-            _fmt(float(x)), _fmt(_density(law, float(x))), _fmt(_cdf(law, float(x))),
+            _fmt(float(x) + 0.0), _fmt(_density(law, float(x))), _fmt(_cdf(law, float(x))),
         ]))
     return lines
 
@@ -506,6 +507,11 @@ def main(argv: Optional[list] = None) -> int:
                   if getattr(args, flag) is not None and flag not in _SPEC_FLAGS[args.spec]]
         if unread:
             ap.error(f"--spec {args.spec} does not read {', '.join(unread)}")
+    # the row count np.arange would make, checked before it allocates
+    if args.command == "density" and \
+            (args.xmax + args.step / 2.0 + args.xmax) / args.step > 10 ** 6:
+        ap.error(f"argument --step: --xmax {args.xmax} --step {args.step} asks for "
+                 "more than 1000000 rows")
     try:
         smp.resolve_threads()       # a bad thread cap is a usage error
     except DomainError as exc:

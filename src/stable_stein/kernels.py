@@ -94,9 +94,9 @@ class DistributionSpec:
     def tail_pos(self, x):
         """P(xi > x) for x >= 0.
 
-        Vectorized over arrays; a float in gives a Python float out.  The
-        quadrature integrands call it one point at a time, so the scalar
-        path is the hot one.
+        A scalar rule; arrays map it.  A float (an ``np.float64`` too) in
+        gives a Python float out.  The quadrature integrands call it one
+        point at a time, so the scalar path is the hot one.
         """
         raise NotImplementedError
 
@@ -222,9 +222,9 @@ class Pareto(DistributionSpec):
         _check_alpha_12(self.alpha, "Pareto")
 
     def tail_pos(self, x):
-        x = np.asarray(x, dtype=float)
-        out = 0.5 * np.maximum(x, 1.0) ** -self.alpha
-        return out if out.ndim else float(out)
+        if not isinstance(x, float):
+            return _map_scalar(self.tail_pos, x)
+        return 0.5 * max(float(x), 1.0) ** -self.alpha
 
     tail_neg = tail_pos
 
@@ -319,13 +319,12 @@ class ModifiedPareto(DistributionSpec):
             )
 
     def tail_pos(self, x):
-        x = np.asarray(x, dtype=float)
-        xs = np.maximum(x, 1.0)
-        out = 0.5 * np.where(
-            x <= 1.0, 1.0,
-            self.A / self.alpha * xs ** -self.alpha + self.B / self.beta * xs ** -self.beta,
-        )
-        return out if out.ndim else float(out)
+        if not isinstance(x, float):
+            return _map_scalar(self.tail_pos, x)
+        x = float(x)
+        if x <= 1.0:
+            return 0.5
+        return 0.5 * (self.A / self.alpha * x ** -self.alpha + self.B / self.beta * x ** -self.beta)
 
     tail_neg = tail_pos
 
@@ -545,12 +544,13 @@ class LogPerturbedPareto(DistributionSpec):
                 )
 
     def tail_abs(self, x):
-        x = np.asarray(x, dtype=float)
-        xs = np.maximum(x, self.x0)
-        out = np.where(x <= self.x0, 1.0,
-                       self.K0 * np.log(xs) ** self.beta * xs ** -self.alpha)
-        out = np.minimum(out, 1.0)
-        return out if out.ndim else float(out)
+        if not isinstance(x, float):
+            return _map_scalar(self.tail_abs, x)
+        x = float(x)
+        if x <= self.x0:
+            return 1.0
+        # np.log, not math.log: the two differ in the last bit on some inputs
+        return min(self.K0 * float(np.log(x)) ** self.beta * x ** -self.alpha, 1.0)
 
     def tail_pos(self, x):
         return 0.5 * self.tail_abs(x)

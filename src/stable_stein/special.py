@@ -20,8 +20,10 @@ diverge as alpha -> 1, and d_alpha/(2-alpha) -> 1 as alpha -> 2.
 Everything here is a pure function of its arguments and safe to call from any
 number of threads.  d_alpha and the gamma-free prefactor of D_alpha_gamma are
 memoized per alpha (a bounded ``functools.lru_cache``, keyed on float(alpha),
-which is thread-safe): an optimal-gamma scan then evaluates only the Beta
-factor at each gamma.
+which is thread-safe), so D_alpha_gamma evaluates only the Beta factor at
+each gamma.  The optimal-gamma scan of ``bounds.optimize_gamma`` goes one
+step further: its 99 values of D_alpha_gamma, which depend on alpha alone,
+are memoized per float(alpha) in ``bounds._holder_scan``.
 """
 
 from __future__ import annotations

@@ -307,6 +307,32 @@ class TestExample2:
             example2_bound(1.0, 1.0, 1.5, 1.4, 0.5, 100)
 
 
+def unmemoized_optimize_gamma(spec, alpha, n, N):
+    """Frozen copy of optimize_gamma's scan and refinement from before the
+    per-alpha memo: D_alpha_gamma is evaluated at every grid point."""
+    from stable_stein._quad import minimize_scalar
+
+    if N == "auto":
+        N = default_truncation(spec, n)
+    base = bound_main(spec, alpha, n, N, 0.5)
+    fixed = base.total - base.gamma_term
+    ell_pow = spec.ell(n) ** (-1.0 / alpha)
+
+    def total(g):
+        return fixed + D_alpha_gamma(alpha, g) * ell_pow ** g * spec.abs_central_moment(g)
+
+    grid = np.linspace(0.01, 0.99, 99)
+    values = [total(float(g)) for g in grid]
+    idx = int(np.argmin(values))
+    lo = grid[max(idx - 1, 0)]
+    hi = grid[min(idx + 1, len(grid) - 1)]
+    res = minimize_scalar(total, bounds=(lo, hi), method="bounded", options={"xatol": 1e-6})
+    g_star, t_star = float(res.x), float(res.fun)
+    if values[idx] < t_star:
+        g_star, t_star = float(grid[idx]), values[idx]
+    return g_star, t_star
+
+
 class TestOptimizeGamma:
     def test_grid_restricted_matches_reference_grid(self):
         grid = [round(0.1 * i, 1) for i in range(1, 10)]
@@ -331,6 +357,48 @@ class TestOptimizeGamma:
         g, t = optimize_gamma(Pareto(1.5), 1.5, 10 ** 6, math.inf, gamma_grid=grid)
         assert g == 0.9
         assert t == pytest.approx(pareto_bound_closed(1.5, 0.9, 10 ** 6), rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.37, 1.5, 1.99])
+    def test_scan_memo_equals_fresh_constants(self, alpha):
+        from stable_stein.bounds import _GAMMA_SCAN, _holder_scan
+
+        scan = _holder_scan(alpha)
+        assert len(scan) == len(_GAMMA_SCAN) == 99
+        for g, d in zip(_GAMMA_SCAN.tolist(), scan):
+            assert d == D_alpha_gamma(alpha, g)
+            assert d == D_alpha_gamma(np.float64(alpha), g)
+
+    @pytest.mark.parametrize("make,N", [
+        (lambda: Pareto(1.5), math.inf),
+        (lambda: equal_weight_mp(1.5, 2.0), "auto"),
+        (lambda: HallTransform(a=0.3, b=0.24, c=0.2, alpha=1.5), "auto"),
+    ])
+    def test_memoized_scan_matches_unmemoized(self, make, N):
+        from stable_stein.bounds import _holder_scan
+
+        for alpha, other in ((np.float64(1.5), 1.5), (1.5, np.float64(1.5))):
+            want = repr(unmemoized_optimize_gamma(make(), alpha, 10 ** 6, N))
+            _holder_scan.cache_clear()
+            assert repr(optimize_gamma(make(), alpha, 10 ** 6, N)) == want
+            # a warm memo, filled by the other spelling of alpha, gives the same
+            _holder_scan.cache_clear()
+            optimize_gamma(make(), other, 10 ** 6, N)
+            assert repr(optimize_gamma(make(), alpha, 10 ** 6, N)) == want
+
+    def test_scan_memo_filled_by_racing_threads(self):
+        import sys
+
+        from stable_stein.bounds import _holder_scan
+
+        want = figure_gamma_curves(n=10 ** 6, alphas=[1.5], threads=1)[0]
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            _holder_scan.cache_clear()
+            rows = figure_gamma_curves(n=10 ** 6, alphas=[1.5] * 8, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert rows == [want] * 8
 
     def test_figure_rows_shape(self):
         rows = figure_gamma_curves(n=10 ** 6, alphas=[1.3, 1.6])

@@ -160,6 +160,11 @@ class TestDensityCommand:
             x, p = float(row[0]), float(row[1])
             assert p == pytest.approx(1.0 / (math.pi * (1.0 + x * x)), rel=1e-9)
 
+    def test_origin_prints_without_sign(self):
+        r = run_cli("density", "--xmax", "0", "--step", "1")
+        assert r.returncode == 0
+        assert parse_csv_block(r.stdout)[1][0] == "0"
+
     def test_csv_round_trip_idempotent(self):
         r = run_cli("density", "--alpha", "1.5", "--xmax", "2", "--step", "0.5")
         rows = parse_csv_block(r.stdout)
@@ -278,6 +283,15 @@ class TestUsageErrors:
     def test_density_grid_out_of_range(self, flag, value):
         r = run_cli("density", flag, value)
         self.assert_usage_error(r, flag)
+        assert "CONFIG {" not in r.stderr
+
+    @pytest.mark.parametrize("xmax,step", [
+        ("1e9", "1e-9"), ("1e4", "1e-4"), ("5e5", "1"), ("1e308", "1e-300"),
+    ])
+    def test_density_grid_too_many_rows(self, xmax, step):
+        # rejected before the grid is allocated
+        r = run_cli("density", "--xmax", xmax, "--step", step)
+        self.assert_usage_error(r, "more than 1000000 rows")
         assert "CONFIG {" not in r.stderr
 
     @pytest.mark.parametrize("value", ["abc", "1.5", "2 threads"])

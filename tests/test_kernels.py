@@ -215,6 +215,75 @@ class TestSummandLaws:
         assert spec.abs_central_moment(0.5) == pytest.approx(expect, rel=1e-14)
 
 
+# Frozen copies of the 0-d numpy tail expressions the scalar rules replaced;
+# each rule must give these bits for a float and for an np.float64.
+def frozen_pareto_tail_pos(spec, x):
+    x = np.asarray(x, dtype=float)
+    out = 0.5 * np.maximum(x, 1.0) ** -spec.alpha
+    return out if out.ndim else float(out)
+
+
+def frozen_modified_pareto_tail_pos(spec, x):
+    x = np.asarray(x, dtype=float)
+    xs = np.maximum(x, 1.0)
+    out = 0.5 * np.where(
+        x <= 1.0, 1.0,
+        spec.A / spec.alpha * xs ** -spec.alpha + spec.B / spec.beta * xs ** -spec.beta,
+    )
+    return out if out.ndim else float(out)
+
+
+def frozen_log_pareto_tail_abs(spec, x):
+    x = np.asarray(x, dtype=float)
+    xs = np.maximum(x, spec.x0)
+    out = np.where(x <= spec.x0, 1.0,
+                   spec.K0 * np.log(xs) ** spec.beta * xs ** -spec.alpha)
+    out = np.minimum(out, 1.0)
+    return out if out.ndim else float(out)
+
+
+SCALAR_RULE_CASES = (
+    [(f"pareto{a}", Pareto(a), "tail_pos", frozen_pareto_tail_pos, 1.0)
+     for a in (1.13, 1.5, 1.9)]
+    + [(f"mp_beta{b}", equal_weight_mp(1.5, b), "tail_pos", frozen_modified_pareto_tail_pos, 1.0)
+       for b in (4.0, 2.0, 1.6)]
+    + [("hall", HallTransform(a=0.3, b=0.24, c=0.2, alpha=1.5), "tail_pos",
+        frozen_modified_pareto_tail_pos, 1.0)]
+    + [(f"log_beta{b}", LogPerturbedPareto(1.5, b, x0=5.0), "tail_abs",
+        frozen_log_pareto_tail_abs, 5.0) for b in (1.0, 0.5, 2.0, -1.0)]
+)
+
+
+def scalar_rule_points(threshold):
+    # 1e4 log-spaced points plus the threshold and its two neighbours
+    edge = [0.0, threshold, np.nextafter(threshold, 0.0), np.nextafter(threshold, np.inf)]
+    return np.concatenate([np.geomspace(1e-3, 1e15, 10 ** 4), edge]).tolist()
+
+
+@pytest.mark.parametrize("name,spec,method,frozen,threshold", SCALAR_RULE_CASES,
+                         ids=[c[0] for c in SCALAR_RULE_CASES])
+class TestScalarTailRules:
+    def test_scalar_rule_matches_frozen_expression(self, name, spec, method, frozen,
+                                                   threshold):
+        rule = getattr(spec, method)
+        for x in scalar_rule_points(threshold):
+            want = repr(frozen(spec, x))
+            for kind in (float, np.float64):
+                got = rule(kind(x))
+                assert type(got) is float, (x, kind)
+                assert repr(got) == want, (x, kind)
+
+    def test_array_maps_the_scalar_rule(self, name, spec, method, frozen, threshold):
+        rule = getattr(spec, method)
+        xs = np.array(scalar_rule_points(threshold))
+        out = rule(xs)
+        assert out.dtype == np.float64 and out.shape == xs.shape
+        assert np.array_equal(out, np.array([rule(x) for x in xs.tolist()]))
+        assert np.array_equal(rule(xs[:6].reshape(2, 3)), out[:6].reshape(2, 3))
+        assert type(rule(3)) is float and rule(3) == rule(3.0)
+        assert type(rule(np.asarray(7.5))) is float and rule(np.asarray(7.5)) == rule(7.5)
+
+
 class TestKFunction:
     def test_truncation_support(self, pareto15):
         assert float(k_function(pareto15, 1.5, 1000, 12.0, 10.0)) == 0.0

@@ -34,13 +34,15 @@ def gamma_integral_oracle(x: float) -> float:
     """Defining integral of Gamma by high-precision quadrature.
 
     For small x the substitution t = u^(1/x) removes the endpoint
-    singularity (int t^(x-1) e^(-t) dt = (1/x) int e^(-u^(1/x)) du); for
-    x >= 1/2 the raw integrand is smooth and is split at its mode.
+    singularity (int t^(x-1) e^(-t) dt = (1/x) int e^(-u^(1/x)) du).  The
+    node at u = 2 splits off the far tail, which at x = 0.05 is 0 to 40
+    digits; without it the quadrature of [1, inf) converges far more slowly.
+    For x >= 1/2 the raw integrand is smooth and is split at its mode.
     """
     with mp.workdps(40):
         if x < 0.5:
             val = mp.quad(lambda u: mp.e ** (-(u ** (1.0 / mp.mpf(x)))),
-                          [0, 1, mp.inf]) / x
+                          [0, 1, 2, mp.inf]) / x
         else:
             val = mp.quad(lambda t: t ** (mp.mpf(x) - 1) * mp.e ** (-t),
                           [0, max(x - 1.0, 1.0), 10.0 * x + 50.0, mp.inf])
