@@ -4,8 +4,8 @@ Public surface:
 
 * constants: ``gamma_fn``, ``beta_fn``, ``d_alpha``, ``D_alpha``,
   ``D_alpha_gamma``, ``SteinConstants``
-* target law: ``StableLaw`` with density / derivatives / cdf / quantile,
-  heat-kernel bound checks
+* target law: ``StableLaw``; ``density``, ``density_deriv``, ``cdf`` and
+  ``quantile`` of it; heat-kernel bound checks
 * summand laws: ``Pareto``, ``ModifiedPareto``, ``HallTransform``,
   ``LogPerturbedPareto``, ``GeneralTail``; kernels and the L1 discrepancy
 * bounds: ``bound_main``, ``bound_mthm2``, ``example2_bound``,

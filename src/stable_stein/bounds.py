@@ -172,8 +172,7 @@ def default_truncation(spec: DistributionSpec, n: int):
 # ---------------------------------------------------------------------------
 
 def _assemble(spec: DistributionSpec, alpha: float, n: int, N: float, gamma: float,
-              truncation, target_scale: float, backend: str,
-              alpha_limits) -> SteinBoundReport:
+              truncation, target_scale: float, alpha_limits) -> SteinBoundReport:
     """The bound whose truncation term at finite N is
     ``truncation(spec, alpha, n, N, n_term)``.
 
@@ -197,7 +196,7 @@ def _assemble(spec: DistributionSpec, alpha: float, n: int, N: float, gamma: flo
     else:
         n_term = 4.0 * d_alpha(alpha) / ((alpha - 1.0) * N ** (alpha - 1.0))
         trunc = truncation(spec, alpha, n, N, n_term)
-    disc = discrepancy_l1(spec, alpha, n, N, backend=backend)
+    disc = discrepancy_l1(spec, alpha, n, N)
     gam = D_alpha_gamma(alpha, gamma) * spec.ell(n) ** (-gamma / alpha) * \
         spec.abs_central_moment(gamma)
     total = D_alpha(alpha) * disc + trunc + n_term + gam
@@ -267,7 +266,7 @@ def _tail_model_truncation(spec, alpha, n, N, n_term):
 
 
 def bound_main(spec: DistributionSpec, alpha: float, n: int, N: float, gamma: float,
-               *, target_scale: float = 1.0, backend: str = "auto",
+               *, target_scale: float = 1.0,
                alpha_limits=DEFAULT_ALPHA_LIMITS) -> SteinBoundReport:
     """First assembly: exact per-law truncation accounting.
 
@@ -276,11 +275,11 @@ def bound_main(spec: DistributionSpec, alpha: float, n: int, N: float, gamma: fl
     sigma-scaled target, which is sigma^{1/alpha} times the unit bound.
     """
     return _assemble(spec, alpha, n, N, gamma, _exact_truncation,
-                     target_scale, backend, alpha_limits)
+                     target_scale, alpha_limits)
 
 
 def bound_mthm2(spec: DistributionSpec, alpha: float, n: int, N: float, gamma: float,
-                *, target_scale: float = 1.0, backend: str = "auto",
+                *, target_scale: float = 1.0,
                 alpha_limits=DEFAULT_ALPHA_LIMITS) -> SteinBoundReport:
     """Second assembly: remainder written through the law's tail model.
 
@@ -290,7 +289,7 @@ def bound_mthm2(spec: DistributionSpec, alpha: float, n: int, N: float, gamma: f
     larger than the first assembly's at finite N; both agree at N = inf.
     """
     return _assemble(spec, alpha, n, N, gamma, _tail_model_truncation,
-                     target_scale, backend, alpha_limits)
+                     target_scale, alpha_limits)
 
 
 # ---------------------------------------------------------------------------

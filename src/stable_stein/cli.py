@@ -250,47 +250,34 @@ def cmd_rate_order(args):
 _SIM_HEADER = "n,m,estimator,w1,std_error,bias_floor,bound_total,seed"
 
 
-def _simulate_row(spec, alpha, n, m, seed, estimator):
-    print(f"simulating n={n} m={m} ...", file=sys.stderr)
-    batch = smp.sample_sum(spec, n, m, seed)
-    res = smp.empirical_w1(batch, StableLaw(alpha), estimator)
+def _sim_row(spec, alpha, n, res, seed):
+    """The CSV row of one W1 estimate at n, beside the gamma-optimized bound."""
     try:
         _, bound_total = bnd.optimize_gamma(spec, alpha, n, "auto")
     except DomainError:
         bound_total = math.nan
     return ",".join([
-        str(n), str(m), estimator, _fmt(res.estimate), _fmt(res.std_error),
+        str(n), str(res.m), res.estimator, _fmt(res.estimate), _fmt(res.std_error),
         _fmt(res.bias_floor_estimate), _fmt(bound_total), str(seed),
     ])
 
 
 def cmd_simulate(args):
     spec = build_spec(args)
-    return [
-        _SIM_HEADER,
-        _simulate_row(spec, args.alpha, int(args.n), int(args.m), args.seed,
-                      args.estimator),
-    ]
+    print(f"simulating n={int(args.n)} m={int(args.m)} ...", file=sys.stderr)
+    batch = smp.sample_sum(spec, args.n, args.m, args.seed)
+    res = smp.empirical_w1(batch, StableLaw(args.alpha), args.estimator)
+    return [_SIM_HEADER, _sim_row(spec, args.alpha, batch.n, res, args.seed)]
 
 
 def cmd_rate_fit(args):
     spec = build_spec(args)
-    n_grid = [int(v) for v in args.n_grid]
-    fit = smp.fit_rate(spec, args.alpha, n_grid, int(args.m), args.seed,
+    fit = smp.fit_rate(spec, args.alpha, args.n_grid, args.m, args.seed,
                        estimator=args.estimator)
     ro = bnd.rate_order(spec)
     if args.format == "csv":
-        lines = [_SIM_HEADER]
-        for n, res in zip(fit.n_values, fit.per_n):
-            try:
-                _, bound_total = bnd.optimize_gamma(spec, args.alpha, n, "auto")
-            except DomainError:
-                bound_total = math.nan
-            lines.append(",".join([
-                str(n), str(res.m), res.estimator, _fmt(res.estimate),
-                _fmt(res.std_error), _fmt(res.bias_floor_estimate),
-                _fmt(bound_total), str(args.seed),
-            ]))
+        lines = [_SIM_HEADER] + [_sim_row(spec, args.alpha, n, res, args.seed)
+                                 for n, res in zip(fit.n_values, fit.per_n)]
         print(f"fitted slope {fit.slope:.6f}", file=sys.stderr)
         return lines
     obj = {

@@ -1042,9 +1042,6 @@ class ThresholdSolution:
     residual: float
     iterations: tuple
 
-    def __float__(self):
-        return self.value
-
 
 def solve_log_tail_scale(K0: float, x0: float, alpha: float, beta: float,
                          n: int) -> ThresholdSolution:

@@ -42,8 +42,10 @@ leaves noise (measured directly; see the repo notes).  The one-sample
 statistic has no reference sample, so its floor-corrected version resolves
 rates the paired version cannot.
 
-Standard errors come from a delete-one-block jackknife over 20 random
-blocks of replicates (deterministic, derived from the batch seed).
+All three share one standard error: each supplies only its statistic,
+which is evaluated on every replicate and on the replicates left after
+deleting each of 20 random blocks (deterministic, derived from the batch
+seed); the spread of the 20 delete-one-block values is the jackknife error.
 
 Heavy-tail sums are accumulated chunkwise with exact (Shewchuk) summation
 of the chunk partials, so a rare huge summand cannot wash out the digits of
@@ -196,6 +198,7 @@ class SampleBatch:
 _CHUNK = 1 << 15
 _BLOCK = 256          # replicates drawn into one row block
 _FLOOR_BATCHES = 5
+_JACKKNIFE_K = 20
 
 # Bias floors of the fit_rate call in progress, keyed by everything they
 # depend on; None outside a fit.  A context variable keeps the floors of
@@ -213,6 +216,16 @@ def _compensated_row_sums(x: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(col) for col in np.column_stack(parts)])
 
 
+def _count(name: str, value) -> int:
+    """A positive count given as an int or an integral float, as an int."""
+    try:
+        if value >= 1 and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _sample_sums(spec: DistributionSpec, ns: Sequence[int], m: int, seed: int,
                  threads: Optional[int] = None) -> list:
     """One SampleBatch per n of ns, all with the same m and seed.
@@ -221,8 +234,8 @@ def _sample_sums(spec: DistributionSpec, ns: Sequence[int], m: int, seed: int,
     family draws each replicate once, at max(ns), and every n sums a prefix
     of the same row; other families draw once per n.
     """
-    if min(ns) < 1 or m < 1:
-        raise DomainError(f"sample_sum requires n >= 1 and m >= 1, got n={min(ns)}, m={m}")
+    ns = [_count("n", n) for n in ns]
+    m = _count("m", m)
     alpha = spec.alpha
     scales = [spec.ell(n) ** (-1.0 / alpha) for n in ns]
     mu = spec.mean
@@ -272,7 +285,8 @@ def sample_sum(spec: DistributionSpec, n: int, m: int, seed: int,
 
     Replicate r draws its n summands from substream (seed, SUMMANDS, r);
     the replicate loop may be split over threads without changing a bit of
-    the output.
+    the output.  n and m are ints or integral floats; anything else raises
+    DomainError before any draw.
     """
     return _sample_sums(spec, [n], m, seed, threads)[0]
 
@@ -331,21 +345,24 @@ def _one_sample_value(sorted_vals: np.ndarray, table: QuantileTable,
     return total
 
 
-def _paired_mean_abs(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.mean(np.abs(a - b)))
-
-
-def _jackknife_blocks(m: int, seed: int, k: int = 20) -> np.ndarray:
-    """Deterministic random assignment of ranks to k blocks."""
+def _jackknife_blocks(m: int, seed: int) -> np.ndarray:
+    """Deterministic random assignment of ranks to _JACKKNIFE_K blocks."""
     rng = substream(seed, STREAM_BLOCKS, 0)
+    k = _JACKKNIFE_K
     labels = np.repeat(np.arange(k), (m + k - 1) // k)[:m]
     rng.shuffle(labels)
     return labels
 
 
+def _jackknifed(stat, blocks: np.ndarray) -> tuple:
+    """``stat(None)`` on all replicates and ``stat(keep)`` on those the mask
+    ``keep`` leaves after deleting each block in turn."""
+    return stat(None), [stat(blocks != j) for j in range(_JACKKNIFE_K)]
+
+
 def _bias_floors(target: StableLaw, tab: QuantileTable, seed: int,
-                 blocks: np.ndarray, k: int) -> tuple:
-    """The bias floor and its k delete-one-block jackknife values.
+                 blocks: np.ndarray) -> tuple:
+    """The bias floor and its delete-one-block jackknife values.
 
     The floor is the one-sample statistic on independent samples of the
     batch's size drawn from the target itself.  Its sampling distribution
@@ -360,14 +377,10 @@ def _bias_floors(target: StableLaw, tab: QuantileTable, seed: int,
                                                   substream(seed, STREAM_FLOOR_A, j), m))
         for j in range(_FLOOR_BATCHES)
     ]
-
-    def median_value(keep):
-        return float(np.median([
-            _one_sample_value(f if keep is None else f[keep], tab, tail_c, target.alpha)
-            for f in samples
-        ]))
-
-    return median_value(None), [median_value(blocks != j) for j in range(k)]
+    return _jackknifed(lambda keep: float(np.median([
+        _one_sample_value(f if keep is None else f[keep], tab, tail_c, target.alpha)
+        for f in samples
+    ])), blocks)
 
 
 def _check_w1_args(m: int, estimator: str, target: StableLaw, alpha: float) -> None:
@@ -380,62 +393,47 @@ def _check_w1_args(m: int, estimator: str, target: StableLaw, alpha: float) -> N
 
 
 def empirical_w1(batch: SampleBatch, target: StableLaw,
-                 estimator: str = "bias_corrected", *,
-                 table: Optional[QuantileTable] = None,
-                 jackknife_k: int = 20) -> EmpiricalW1Result:
-    """Empirical W1 distance between the batch and the stable target."""
+                 estimator: str = "bias_corrected") -> EmpiricalW1Result:
+    """Empirical W1 distance between the batch and the stable target: the
+    estimator's statistic on every replicate, with the delete-one-block
+    jackknife error that all three estimators share."""
     m = batch.m
     _check_w1_args(m, estimator, target, batch.alpha)
     vals = batch.values
-    blocks = _jackknife_blocks(m, batch.seed, jackknife_k)
-    sig = target.sigma_root
-
-    if estimator == "one_sample_quantile":
-        tab = table or quantile_table(target.alpha, target.scale)
-        tail_c = target.tail_coefficient
-        est = _one_sample_value(vals, tab, tail_c, target.alpha)
-
-        def block_est(j):
-            sub = vals[blocks != j]
-            return _one_sample_value(sub, tab, tail_c, target.alpha)
-
-        ref_m = None
-        floor = 0.0
-    elif estimator == "two_sample":
-        ref = np.sort(sig * sample_stable(target.alpha,
-                                          substream(batch.seed, STREAM_REFERENCE, 0), m))
+    blocks = _jackknife_blocks(m, batch.seed)
+    ref_m, floor = m, 0.0
+    if estimator == "two_sample":
+        ref = np.sort(target.sigma_root * sample_stable(
+            target.alpha, substream(batch.seed, STREAM_REFERENCE, 0), m))
         d_pair = np.abs(vals - ref)
-        est = float(d_pair.mean())
-
-        def block_est(j):
-            return float(d_pair[blocks != j].mean())
-
-        ref_m = m
-        floor = 0.0
+        est, jk = _jackknifed(
+            lambda keep: float((d_pair if keep is None else d_pair[keep]).mean()), blocks)
     else:
-        # floor-corrected one-sample statistic (see _bias_floors).  Inside
-        # fit_rate the floors against the shared table are computed once:
-        # they do not depend on n.
-        tab = table or quantile_table(target.alpha, target.scale)
+        tab = quantile_table(target.alpha, target.scale)
         tail_c = target.tail_coefficient
-        memo = _fit_floors.get()
-        if memo is None or table is not None:
-            memo = {}
-        key = (target.alpha, target.scale, batch.seed, m, jackknife_k)
-        if key not in memo:
-            memo[key] = _bias_floors(target, tab, batch.seed, blocks, jackknife_k)
-        floor, floor_jk = memo[key]
-        raw = _one_sample_value(vals, tab, tail_c, target.alpha)
-        est = max(raw - floor, 0.0)
+        if estimator == "bias_corrected":
+            # the floors (see _bias_floors) come before the batch's own
+            # statistic: the other order gives the same bits but a fit's peak
+            # RSS rose by about 5 MB.  Inside fit_rate they are computed
+            # once: they do not depend on n.
+            memo = _fit_floors.get()
+            if memo is None:
+                memo = {}
+            key = (target.alpha, target.scale, batch.seed, m)
+            if key not in memo:
+                memo[key] = _bias_floors(target, tab, batch.seed, blocks)
+            floor, floor_jk = memo[key]
+        est, jk = _jackknifed(lambda keep: _one_sample_value(
+            vals if keep is None else vals[keep], tab, tail_c, target.alpha), blocks)
+        if estimator == "bias_corrected":
+            est = max(est - floor, 0.0)
+            jk = [max(raw - f, 0.0) for raw, f in zip(jk, floor_jk)]
+        else:
+            ref_m = None
 
-        def block_est(j):
-            raw_j = _one_sample_value(vals[blocks != j], tab, tail_c, target.alpha)
-            return max(raw_j - floor_jk[j], 0.0)
-
-        ref_m = m
-
-    jk = np.array([block_est(j) for j in range(jackknife_k)])
-    se = math.sqrt(max((jackknife_k - 1) / jackknife_k * float(np.sum((jk - jk.mean()) ** 2)), 0.0))
+    jk = np.array(jk)
+    k = _JACKKNIFE_K
+    se = math.sqrt(max((k - 1) / k * float(np.sum((jk - jk.mean()) ** 2)), 0.0))
     return EmpiricalW1Result(
         estimate=est, std_error=se, estimator=estimator, m=m,
         reference_m=ref_m, bias_floor_estimate=floor,
@@ -456,7 +454,7 @@ class RateFit:
 
 def fit_rate(spec: DistributionSpec, alpha: float, n_grid: Sequence[int], m: int,
              seed: int, estimator: str = "bias_corrected",
-             threads: Optional[int] = None, target: Optional[StableLaw] = None) -> RateFit:
+             threads: Optional[int] = None) -> RateFit:
     """Empirical convergence-rate fit over a log-spaced grid of n.
 
     Replicate streams are shared across the grid (common random numbers),
@@ -464,24 +462,27 @@ def fit_rate(spec: DistributionSpec, alpha: float, n_grid: Sequence[int], m: int
     estimates are dropped from the fit and reported.
 
     Each grid point's result equals ``empirical_w1(sample_sum(spec, n, m,
-    seed, threads), target, estimator)`` bit for bit, but the shared work is
-    done once: a prefix-consistent family draws each replicate once, at the
-    largest n, and every n sums a prefix of it; the bias floor and its
-    jackknife values, which do not depend on n, are computed at the first
-    grid point and reused.
+    seed, threads), StableLaw(alpha), estimator)`` bit for bit, but the
+    shared work is done once: a prefix-consistent family draws each
+    replicate once, at the largest n, and every n sums a prefix of it; the
+    bias floor and its jackknife values, which do not depend on n, are
+    computed at the first grid point and reused.  The slope is fitted on
+    the log of each n as an int (see ``sample_sum``).
     """
     if len(n_grid) < 4:
         raise DomainError("fit_rate needs at least 4 grid points")
-    if sorted(n_grid) != list(n_grid):
+    n_grid = [_count("n", n) for n in n_grid]
+    m = _count("m", m)
+    if sorted(n_grid) != n_grid:
         raise DomainError("n_grid must be increasing")
     check_spec_alpha(spec, alpha)
-    target = target or StableLaw(alpha)
+    target = StableLaw(alpha)
     _check_w1_args(m, estimator, target, alpha)     # before the grid is drawn
     results = []
     kept_logn = []
     kept_logw = []
     dropped = []
-    batches = _sample_sums(spec, [int(n) for n in n_grid], m, seed, threads)
+    batches = _sample_sums(spec, n_grid, m, seed, threads)
     token = _fit_floors.set({})
     try:
         for n, batch in zip(n_grid, batches):
@@ -491,7 +492,7 @@ def fit_rate(spec: DistributionSpec, alpha: float, n_grid: Sequence[int], m: int
                 kept_logn.append(math.log(n))
                 kept_logw.append(math.log(res.estimate))
             else:
-                dropped.append((int(n), "non-positive corrected estimate"))
+                dropped.append((n, "non-positive corrected estimate"))
     finally:
         _fit_floors.reset(token)
     if len(kept_logn) < 2:
@@ -501,7 +502,7 @@ def fit_rate(spec: DistributionSpec, alpha: float, n_grid: Sequence[int], m: int
     residuals = tuple(float(r) for r in (np.array(kept_logw) - fitted))
     return RateFit(
         slope=float(slope), intercept=float(intercept),
-        per_n=tuple(results), n_values=tuple(int(n) for n in n_grid),
+        per_n=tuple(results), n_values=tuple(n_grid),
         dropped=tuple(dropped), residuals=residuals,
     )
 

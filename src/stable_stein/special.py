@@ -154,13 +154,14 @@ def _cos_tail_asymptotic(s: float, Y: float, terms: int = 8) -> float:
     return total
 
 
-def d_alpha_quadrature(alpha: float, tail_cut: float = 640.0) -> float:
+def d_alpha_quadrature(alpha: float) -> float:
     """d_alpha evaluated from its defining integral (cross-check path).
 
     The integrand (1 - cos y)/|y|^(1+alpha) is split at |y| = 1: the inner
     part is summed as the alternating series of the cosine expansion, the
     outer part is 1/alpha minus an oscillatory integral done with
-    half-period-aligned panels plus an integration-by-parts tail.
+    half-period-aligned panels out to y = 640 plus an integration-by-parts
+    tail.
     """
     if not (0.0 < alpha < 2.0):
         raise DomainError(f"d_alpha_quadrature requires alpha in (0, 2), got {alpha}")
@@ -175,7 +176,7 @@ def d_alpha_quadrature(alpha: float, tail_cut: float = 640.0) -> float:
             break
     # outer: 1/alpha - integral_1^inf cos(y) y^(-1-alpha) dy
     s = 1.0 + alpha
-    n_panels = int(math.ceil((tail_cut - 1.0) / math.pi))
+    n_panels = int(math.ceil((640.0 - 1.0) / math.pi))
     Y = 1.0 + n_panels * math.pi
     edges = 1.0 + math.pi * np.arange(n_panels + 1)
     nodes, weights = panel_nodes(edges, order=20)

@@ -129,6 +129,17 @@ class TestSimulateCommand:
             assert not line.startswith("CONFIG")
         assert "CONFIG" in r.stderr
 
+    @pytest.mark.parametrize("spec", [("--spec", "pareto"),
+                                      ("--spec", "modified-pareto", "--beta", "4")])
+    def test_row_equals_rate_fit_row(self, spec, capsys):
+        # one row writer serves both commands: simulate at n is rate-fit's row for n
+        common = list(spec) + ["--m", "300", "--seed", "5", "--estimator", "one_sample_quantile"]
+        assert main(["rate-fit", "--n-grid", "100,200,400,800", "--format", "csv"] + common) == 0
+        fit_rows = capsys.readouterr().out.splitlines()
+        for k, row in zip((100, 200, 400, 800), fit_rows[1:]):
+            assert main(["simulate", "--n", str(k)] + common) == 0
+            assert capsys.readouterr().out.splitlines() == [fit_rows[0], row]
+
 
 class TestConfigEcho:
     def test_round_trip_bytes(self, tmp_path):
@@ -303,13 +314,17 @@ class TestUsageErrors:
         # rejected before any work starts: no config echo, no simulation
         assert "CONFIG" not in r.stderr and "simulating" not in r.stderr
 
+    @pytest.fixture(scope="class")
+    def simulate_baseline(self):
+        # the run every thread cap below must reproduce, made once
+        return run_cli("simulate", "--n", "10", "--m", "200", "--seed", "3")
+
     @pytest.mark.parametrize("value", ["0", " 2 ", "-3", ""])
-    def test_integral_thread_caps_accepted(self, value):
-        base = run_cli("simulate", "--n", "10", "--m", "200", "--seed", "3")
+    def test_integral_thread_caps_accepted(self, value, simulate_baseline):
         r = subprocess.run(CLI + ["simulate", "--n", "10", "--m", "200", "--seed", "3"],
                            capture_output=True, text=True,
                            env=dict(os.environ, STABLE_STEIN_THREADS=value))
-        assert r.returncode == 0 and r.stdout == base.stdout
+        assert r.returncode == 0 and r.stdout == simulate_baseline.stdout
 
 
 class TestOutPath:

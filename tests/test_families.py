@@ -1,7 +1,8 @@
 """Bit pins for the summand families.
 
 Every per-family fact the bounds read (closed forms, default truncation,
-rate order) and every assembled report is pinned by the ``repr`` of its
+rate order), every assembled report and every Monte-Carlo estimator
+(``empirical_w1`` and ``fit_rate``) is pinned by the ``repr`` of its
 value, compared with ``==``: a float's repr round-trips exactly, so a pin
 holds only when every bit does.  A case that raises is pinned by its error
 (with the partial result of a ``ConvergenceError``).
@@ -23,6 +24,8 @@ import pytest
 
 from stable_stein import bounds as bnd
 from stable_stein import kernels as ker
+from stable_stein import sampling as smp
+from stable_stein.density import StableLaw
 from stable_stein.errors import ConvergenceError, DomainError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -44,6 +47,8 @@ FAMILIES = {
                                        m1_fn=lambda x: 0.5 * x ** -2.0,
                                        m2_fn=lambda x: 0.0),
 }
+
+ESTIMATORS = ("one_sample_quantile", "two_sample", "bias_corrected")
 
 CLI_COMMANDS = (
     ("rate-order", "--spec", "hall", "--A", "0.6", "--c", "0.2", "--alpha", "1.5"),
@@ -106,6 +111,18 @@ def _cases():
         w = 1.5 * beta / (1.5 + beta)
         cases[f"example2_bound/beta={beta}"] = \
             lambda w=w, beta=beta: bnd.example2_bound(w, w, 1.5, beta, 0.5, 10 ** 6)
+    # the Monte-Carlo estimators on every sampleable family, and the rate fit
+    for name, make in FAMILIES.items():
+        if name == "general":
+            continue
+        for est in ESTIMATORS:
+            for n, m, seed in ((100, 2000, 1), (1000, 3000, 7)):
+                cases[f"{name}/empirical_w1/{est}/n={n},m={m},seed={seed}"] = \
+                    lambda make=make, est=est, n=n, m=m, seed=seed: smp.empirical_w1(
+                        smp.sample_sum(make(), n, m, seed), StableLaw(1.5), est)
+    for est in ESTIMATORS:
+        cases[f"pareto/fit_rate/{est}"] = lambda est=est: smp.fit_rate(
+            ker.Pareto(1.5), 1.5, [100, 316, 1000, 3162], 3000, 3, est)
     cases["hall/sample/sha256"] = lambda: hashlib.sha256(
         FAMILIES["hall"]().sample(np.random.Generator(np.random.Philox(7)), 1000).tobytes()
     ).hexdigest()
@@ -163,6 +180,12 @@ EXPECTED = {
     'hall/describe': "'HallTransform(a=0.3, b=0.24, c=0.2, alpha=1.5)'",
     'hall/discrepancy_l1/N=50.0': '0.7381821240783646',
     'hall/discrepancy_l1/N=inf': 'DomainError',
+    'hall/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.16025141867068138, std_error=0.054367625148571797, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.2909219570361677)",
+    'hall/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.046323027199586864, std_error=0.0748507389702378, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261995)",
+    'hall/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.45117337570684907, std_error=0.07630578058643679, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
+    'hall/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.36082289362578635, std_error=0.08177961598717322, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
+    'hall/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.4083543077498136, std_error=0.09282951461556413, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
+    'hall/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.401065228567461, std_error=0.09765538040221143, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
     'hall/k_function/t=-0.3': '0.0009872948901439387',
     'hall/k_function/t=0.01': '0.00845494985909048',
     'hall/k_function/t=0.7': '0.0005206476681642478',
@@ -180,6 +203,12 @@ EXPECTED = {
     'log/describe': "'LogPerturbedPareto(alpha=1.5, beta=1.0, K0=6.94674, x0=5)'",
     'log/discrepancy_l1/N=50.0': '1.8135116395517856',
     'log/discrepancy_l1/N=inf': 'DomainError',
+    'log/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0, std_error=0.045346930965669975, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.2909219570361677)",
+    'log/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.35459845976867405, std_error=0.29638236693232173, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261995)",
+    'log/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.29027156092659806, std_error=0.03488225854803219, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
+    'log/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.6690983261948735, std_error=0.32801097142387264, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
+    'log/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.2213928294644391, std_error=0.024915277797356625, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
+    'log/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.702886220287633, std_error=0.37244707907272845, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
     'log/k_function/t=-0.3': '0.0008054095098456609',
     'log/k_function/t=0.01': '0.0033790103507920378',
     'log/k_function/t=0.7': '0.00047329600359664366',
@@ -196,6 +225,12 @@ EXPECTED = {
     'mp_beta1.8/describe': "'ModifiedPareto(alpha=1.5, beta=1.8, A=0.8181818181818182, B=0.8181818181818182)'",
     'mp_beta1.8/discrepancy_l1/N=50.0': '0.9213786807140458',
     'mp_beta1.8/discrepancy_l1/N=inf': 'DomainError',
+    'mp_beta1.8/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0197055263187349, std_error=0.08305934230354525, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.2909219570361677)",
+    'mp_beta1.8/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.1697329876285536, std_error=0.1719180618114457, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261995)",
+    'mp_beta1.8/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.3106274833549026, std_error=0.03601178305801487, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
+    'mp_beta1.8/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.4842328540547531, std_error=0.18886053264563119, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
+    'mp_beta1.8/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.2638056730179643, std_error=0.03243218601459777, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
+    'mp_beta1.8/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.4979462143771979, std_error=0.2282774408367786, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
     'mp_beta1.8/k_function/t=-0.3': '0.001031792029203764',
     'mp_beta1.8/k_function/t=0.01': '0.009205434463357946',
     'mp_beta1.8/k_function/t=0.7': '0.0005406607365216768',
@@ -212,6 +247,12 @@ EXPECTED = {
     'mp_beta2/describe': "'ModifiedPareto(alpha=1.5, beta=2.0, A=0.8571428571428571, B=0.8571428571428571)'",
     'mp_beta2/discrepancy_l1/N=50.0': '0.38069178944453136',
     'mp_beta2/discrepancy_l1/N=inf': 'DomainError',
+    'mp_beta2/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0, std_error=0.0, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.2909219570361677)",
+    'mp_beta2/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.06548760980350621, std_error=0.10943082012880752, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261995)",
+    'mp_beta2/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.22246638386863254, std_error=0.03392626890816451, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
+    'mp_beta2/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3799874762297057, std_error=0.18320107616954548, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
+    'mp_beta2/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.19406162991658932, std_error=0.0343514581946863, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
+    'mp_beta2/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3867244595887578, std_error=0.2239566436446689, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
     'mp_beta2/k_function/t=-0.3': '0.0009080986510125834',
     'mp_beta2/k_function/t=0.01': '0.008365531551398561',
     'mp_beta2/k_function/t=0.7': '0.00048023249689529545',
@@ -228,6 +269,12 @@ EXPECTED = {
     'mp_beta4/describe': "'ModifiedPareto(alpha=1.5, beta=4.0, A=1.0909090909090908, B=1.0909090909090908)'",
     'mp_beta4/discrepancy_l1/N=50.0': '0.08164338342994998',
     'mp_beta4/discrepancy_l1/N=inf': '0.08164338372323822',
+    'mp_beta4/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0, std_error=0.025410760286717324, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.2909219570361677)",
+    'mp_beta4/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.048151499320734314, std_error=0.10049795943428139, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261995)",
+    'mp_beta4/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.26135123416254147, std_error=0.04581020336054476, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
+    'mp_beta4/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3626513657469338, std_error=0.1704211730602955, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
+    'mp_beta4/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.24588772738233228, std_error=0.03417547076716353, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
+    'mp_beta4/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3540118068720703, std_error=0.22294652092658424, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
     'mp_beta4/k_function/t=-0.3': '0.0008249433883961264',
     'mp_beta4/k_function/t=0.01': '0.00608312590148359',
     'mp_beta4/k_function/t=0.7': '0.00044762328899228623',
@@ -244,6 +291,15 @@ EXPECTED = {
     'pareto/describe': "'Pareto(alpha=1.5)'",
     'pareto/discrepancy_l1/N=50.0': '0.05873677309932276',
     'pareto/discrepancy_l1/N=inf': '0.05873677309932276',
+    'pareto/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0, std_error=0.03660959432663759, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.2909219570361677)",
+    'pareto/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.05125481365883999, std_error=0.10252169920142201, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261995)",
+    'pareto/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.2692052255098983, std_error=0.04655454325468758, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
+    'pareto/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3657546800850395, std_error=0.17043149435044436, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
+    'pareto/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.25249848005658243, std_error=0.03403320947638641, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
+    'pareto/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3540245451448456, std_error=0.22293785628841817, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
+    'pareto/fit_rate/bias_corrected': "RateFit(slope=-0.6549522623930619, intercept=-0.07283667142630405, per_n=(EmpiricalW1Result(estimate=0.05256101868522442, std_error=0.09367414659724108, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.2141574609714705), EmpiricalW1Result(estimate=0.0, std_error=0.01723877267893639, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.2141574609714705), EmpiricalW1Result(estimate=0.00655992041823214, std_error=0.04144370522377979, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.2141574609714705), EmpiricalW1Result(estimate=0.0063164157528499965, std_error=0.045255468730986875, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.2141574609714705)), n_values=(100, 316, 1000, 3162), dropped=((316, 'non-positive corrected estimate'),), residuals=(0.14322277982862186, -0.4296901880135051, 0.2864674081848859))",
+    'pareto/fit_rate/one_sample_quantile': "RateFit(slope=-0.04300056939684315, intercept=-1.2105466922865447, per_n=(EmpiricalW1Result(estimate=0.26671847965669493, std_error=0.0789923001148126, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0), EmpiricalW1Result(estimate=0.2045629873531258, std_error=0.03681133248183623, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0), EmpiricalW1Result(estimate=0.22071738138970265, std_error=0.04004225730781356, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0), EmpiricalW1Result(estimate=0.2204738767243205, std_error=0.04003470592357237, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)), n_values=(100, 316, 1000, 3162), dropped=(), residuals=(0.08701007231013524, -0.12883245953460043, -0.0032881105532751587, 0.04511049777774123))",
+    'pareto/fit_rate/two_sample': "RateFit(slope=-0.1072250201390752, intercept=-0.7559311486505152, per_n=(EmpiricalW1Result(estimate=0.2904460400796812, std_error=0.08218200088256086, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0), EmpiricalW1Result(estimate=0.24417293134313448, std_error=0.052375975547668416, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0), EmpiricalW1Result(estimate=0.23150233842091658, std_error=0.04653987821273689, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0), EmpiricalW1Result(estimate=0.19591024819689923, std_error=0.04592445830668907, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)), n_values=(100, 316, 1000, 3162), dropped=(), residuals=(0.013383146208576502, -0.03678784629244691, 0.03345004321857892, -0.010045343134709395))",
     'pareto/k_function/t=-0.3': '0.0008249298131691637',
     'pareto/k_function/t=0.01': '0.005716515588598575',
     'pareto/k_function/t=0.7': '0.00044762222309042873',

@@ -167,6 +167,37 @@ class TestSampleSum:
             sample_sum(pareto15, 0, 100, seed=0)
 
 
+class TestIntegerCounts:
+    """n and m are ints or integral floats, converted before any draw."""
+
+    def test_integral_floats_accepted(self, pareto15):
+        ref = sample_sum(pareto15, 1000, 500, 1)
+        for b in (sample_sum(pareto15, 1e3, 500, 1), sample_sum(pareto15, 1000, 5e2, 1),
+                  sample_sum(pareto15, np.int64(1000), np.float64(500.0), 1)):
+            assert type(b.n) is int and type(b.m) is int
+            assert (b.n, b.m) == (1000, 500)
+            assert b.values.tobytes() == ref.values.tobytes()
+
+    @pytest.mark.parametrize("n,m", [(100.5, 500), (1000, 500.5), (0, 500), (1000, 0.0),
+                                     (math.nan, 500), (1000, math.inf), ("1000", 500),
+                                     (None, 500)])
+    def test_anything_else_raises_before_drawing(self, pareto15, n, m, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before checking the counts")
+
+        monkeypatch.setattr(Pareto, "sample", no_draws)
+        with pytest.raises(DomainError):
+            sample_sum(pareto15, n, m, 1)
+
+    def test_fit_on_integral_floats_is_the_integer_fit(self, pareto15):
+        # the slope is fitted on log of the int n, whatever spelling it came in
+        ints = fit_rate(pareto15, 1.5, [100, 316, 1000, 3162], 500, 1, "one_sample_quantile")
+        floats = fit_rate(pareto15, 1.5, [100.0, 316.0, 1e3, 3162.0], 5e2, 1,
+                          "one_sample_quantile")
+        assert floats == ints
+        assert all(type(n) is int for n in floats.n_values)
+
+
 class TestEmpiricalW1:
     def test_refuses_tiny_m(self, pareto15):
         batch = SampleBatch(spec=pareto15, n=1, m=50, seed=0, values=np.zeros(50))
@@ -251,7 +282,7 @@ class TestFitRate:
         assert f1 == fk
 
     @pytest.mark.parametrize("kw", [{"m": 50}, {"estimator": "banana"},
-                                    {"target": StableLaw(1.4)}])
+                                    {"n_grid": [100.7, 316.2, 1000.4, 3162.9]}])
     def test_estimator_arguments_checked_before_drawing(self, pareto15, kw, monkeypatch):
         import stable_stein.sampling as smp
 
@@ -259,10 +290,10 @@ class TestFitRate:
             raise AssertionError("drew the grid before checking the arguments")
 
         monkeypatch.setattr(smp, "_sample_sums", no_draws)
-        args = dict(m=200, seed=1)
+        args = dict(n_grid=[100, 200, 400, 800], m=200, seed=1)
         args.update(kw)
         with pytest.raises(DomainError):
-            smp.fit_rate(pareto15, 1.5, [100, 200, 400, 800], **args)
+            smp.fit_rate(pareto15, 1.5, **args)
 
     def test_requires_four_points(self, pareto15):
         with pytest.raises(DomainError):
