@@ -7,11 +7,16 @@ the caller lets each integral align panels to its own structure: half-periods
 of the oscillating factor, dyadic refinement toward an endpoint singularity,
 geometric growth into a power-law tail.
 
-The scipy routines the package uses (adaptive ``quad``, ``brentq``,
-``minimize_scalar``, ``PchipInterpolator``) are also named here, and scipy
-is imported on their first call, not when the package is imported: the
-import costs most of a CLI cold start, and the commands that only evaluate
-closed forms, the constants or the stable density never need it.
+The two scipy routines the package uses, adaptive ``quad`` and ``brentq``,
+are also named here, and scipy is imported on their first call, not when
+the package is imported: the import costs most of a CLI cold start, and
+the commands that only evaluate closed forms, the constants or the stable
+density never need it.  Two more scipy routines are ported in-house, next
+to their one caller each, and match scipy bit for bit: the PCHIP
+interpolant behind the quantile table (``density._Pchip``, checked by
+``TestPchipParity`` in ``tests/test_density.py``) and the bounded Brent
+minimizer of ``optimize_gamma`` (``bounds._minimize_bounded``, checked by
+``TestBoundedMinimizerParity`` in ``tests/test_bounds.py``).
 """
 
 from __future__ import annotations
@@ -72,5 +77,3 @@ def _import_on_first_call(module: str, name: str):
 
 quad = _import_on_first_call("scipy.integrate", "quad")
 brentq = _import_on_first_call("scipy.optimize", "brentq")
-minimize_scalar = _import_on_first_call("scipy.optimize", "minimize_scalar")
-PchipInterpolator = _import_on_first_call("scipy.interpolate", "PchipInterpolator")

@@ -46,7 +46,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._quad import minimize_scalar, quad
+from ._quad import quad
 from .errors import DomainError
 from .kernels import (
     DistributionSpec,
@@ -424,6 +424,68 @@ def example2_bound(A: float, B: float, alpha: float, beta: float, gamma: float,
 # ---------------------------------------------------------------------------
 
 _GAMMA_SCAN = np.linspace(0.01, 0.99, 99)
+_SQRT_EPS = np.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
+
+
+def _minimize_bounded(func, a, b) -> tuple:
+    """Brent's bounded minimization of ``func`` on [a, b]: (x, func(x)).
+
+    Step for step scipy's bounded scalar minimizer with ``xatol=1e-6``, its
+    constants and its 500-evaluation cap, so the bits are scipy's
+    (``TestBoundedMinimizerParity`` in ``tests/test_bounds.py``).  Numpy
+    float bounds make ``func`` see numpy floats, as under scipy.
+    """
+    nfc = xf = fulc = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * np.abs(xf) + 1e-6 / 3.0
+    tol2 = 2.0 * tol1
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if np.abs(e) > tol1:     # try a parabola through the last three points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * np.abs(xf) + 1e-6 / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx
 
 
 @functools.lru_cache(maxsize=256)
@@ -467,9 +529,7 @@ def optimize_gamma(spec: DistributionSpec, alpha: float, n: int, N,
     idx = int(np.argmin(values))
     lo = grid[max(idx - 1, 0)]
     hi = grid[min(idx + 1, len(grid) - 1)]
-    res = minimize_scalar(total, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-6})
-    g_star, t_star = float(res.x), float(res.fun)
+    g_star, t_star = map(float, _minimize_bounded(total, lo, hi))
     if values[idx] < t_star:
         g_star, t_star = float(grid[idx]), values[idx]
     return g_star, t_star

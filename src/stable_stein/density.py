@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import PchipInterpolator, brentq, panel_nodes
+from ._quad import brentq, panel_nodes
 from .errors import DomainError
 from .special import d_alpha
 
@@ -281,13 +281,89 @@ def verify_hk_bounds(alpha: float, x_grid) -> HeatKernelMargins:
     return HeatKernelMargins(m1, m2, m3, m4)
 
 
+class _Pchip:
+    """Monotone piecewise-cubic Hermite interpolant through (x[k], y[k]).
+
+    ``x`` is strictly increasing and finite, with at least three knots.
+    Slopes, cubic coefficients and evaluation repeat, step for step, the
+    arithmetic of scipy's PCHIP interpolator built with ``extrapolate=False``,
+    so the values are scipy's bit for bit (``TestPchipParity`` in
+    ``tests/test_density.py`` checks coefficients and values against scipy).
+    Points outside [x[0], x[-1]] give NaN.  Read-only after construction:
+    each call allocates its own scratch, so threads may share one instance.
+    """
+
+    _CHUNK = 8192       # points per evaluation pass; bounds the scratch memory
+
+    def __init__(self, x, y):
+        self.x = x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        hk = x[1:] - x[:-1]
+        mk = (y[1:] - y[:-1]) / hk
+        # interior slopes: the weighted harmonic mean of the neighbouring
+        # secants, 0 where they differ in sign or either is flat
+        smk = np.sign(mk)
+        flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+        w1 = 2 * hk[1:] + hk[:-1]
+        w2 = hk[1:] + 2 * hk[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+            dk = np.concatenate([[0.0], np.where(flat, 0.0, 1.0 / whmean), [0.0]])
+        dk[0] = self._edge_slope(hk[0], hk[1], mk[0], mk[1])
+        dk[-1] = self._edge_slope(hk[-1], hk[-2], mk[-1], mk[-2])
+        # Hermite cubic on [x[k], x[k+1]]: c0 s^3 + c1 s^2 + c2 s + c3
+        t = (dk[:-1] + dk[1:] - 2 * mk) / hk
+        self.c = (t / hk, (mk - dk[:-1]) / hk - t, dk[:-1], y[:-1])
+
+    @staticmethod
+    def _edge_slope(h0, h1, m0, m1):
+        """One-sided three-point slope, kept shape-preserving."""
+        d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and np.abs(d) > 3.0 * np.abs(m0):
+            return 3.0 * m0
+        return d
+
+    def __call__(self, v):
+        v = np.asarray(v, dtype=float).ravel()
+        x = self.x
+        c0, c1, c2, c3 = self.c
+        out = np.empty_like(v)
+        s_buf, p_buf, t_buf = (np.empty(min(v.size, self._CHUNK)) for _ in range(3))
+        for a in range(0, v.size, self._CHUNK):
+            vc = v[a:a + self._CHUNK]
+            r = out[a:a + vc.size]
+            s, p, t = s_buf[:vc.size], p_buf[:vc.size], t_buf[:vc.size]
+            # interval i with x[i] <= v < x[i+1], the last one closed
+            i = np.searchsorted(x, vc, side="right")
+            i -= 1
+            np.clip(i, 0, x.size - 2, out=i)
+            np.take(x, i, out=s)
+            np.subtract(vc, s, out=s)
+            s[~((vc >= x[0]) & (vc <= x[-1]))] = np.nan     # outside the knots: NaN
+            # c3 + c2 s, then + c1 (s s), then + c0 ((s s) s), as scipy's PPoly
+            np.take(c3, i, out=r)
+            np.copyto(p, s)
+            for k, c in enumerate((c2, c1, c0)):
+                if k:
+                    p *= s
+                np.take(c, i, out=t)
+                t *= p
+                r += t
+        return out
+
+
 class QuantileTable:
     """Monotone interpolated inverse CDF for bulk Monte-Carlo use.
 
     Direct quadrature feeds a PCHIP interpolant of x -> F(x) on a dense grid
     (step 0.02 up to x = 8, then 260 log-spaced points up to x = 2000);
     beyond the covered probability range the power-tail asymptotic
-    Q(u) = (c/(1-u))^{1/alpha} takes over.  Built once, then read-only;
+    Q(u) = (c/(1-u))^{1/alpha} takes over.  The interpolant is the in-house
+    ``_Pchip``, equal bit for bit to scipy's PCHIP interpolator on these
+    knots (``TestPchipParity`` in ``tests/test_density.py``), so building
+    and reading the table loads no scipy.  Built once, then read-only;
     cheap to evaluate on large arrays.
     """
 
@@ -304,7 +380,7 @@ class QuantileTable:
         keep = np.concatenate([[True], np.diff(fs) > 0.0])
         xs, fs = xs[keep], fs[keep]
         self.u_hi = float(fs[-1])
-        self._inv = PchipInterpolator(fs, xs, extrapolate=False)
+        self._inv = _Pchip(fs, xs)
         self.cell_quantiles = functools.lru_cache(maxsize=4)(self._cell_quantiles)
 
     def __call__(self, u):

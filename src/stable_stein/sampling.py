@@ -200,11 +200,20 @@ _BLOCK = 256          # replicates drawn into one row block
 _FLOOR_BATCHES = 5
 _JACKKNIFE_K = 20
 
-# Bias floors of the fit_rate call in progress, keyed by everything they
-# depend on; None outside a fit.  A context variable keeps the floors of
-# concurrent fits in other threads apart and leaves empirical_w1's
-# signature alone; nothing is kept once the fit returns.
-_fit_floors: ContextVar[Optional[dict]] = ContextVar("_fit_floors", default=None)
+# The bias floors and the two-sample reference of the fit_rate call in
+# progress, keyed by everything they depend on; unset outside a fit.  A
+# context variable keeps the memos of concurrent fits in other threads apart
+# and leaves empirical_w1's signature alone; nothing is kept once the fit
+# returns.
+_fit_memo: ContextVar[dict] = ContextVar("_fit_memo")
+
+
+def _per_fit(key: tuple, make):
+    """``make()``; inside fit_rate, made once per fit for each key."""
+    memo = _fit_memo.get({})
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
 
 
 def _compensated_row_sums(x: np.ndarray) -> np.ndarray:
@@ -403,8 +412,9 @@ def empirical_w1(batch: SampleBatch, target: StableLaw,
     blocks = _jackknife_blocks(m, batch.seed)
     ref_m, floor = m, 0.0
     if estimator == "two_sample":
-        ref = np.sort(target.sigma_root * sample_stable(
-            target.alpha, substream(batch.seed, STREAM_REFERENCE, 0), m))
+        ref = _per_fit(("reference", target.alpha, target.scale, batch.seed, m),
+                       lambda: np.sort(target.sigma_root * sample_stable(
+                           target.alpha, substream(batch.seed, STREAM_REFERENCE, 0), m)))
         d_pair = np.abs(vals - ref)
         est, jk = _jackknifed(
             lambda keep: float((d_pair if keep is None else d_pair[keep]).mean()), blocks)
@@ -414,15 +424,9 @@ def empirical_w1(batch: SampleBatch, target: StableLaw,
         if estimator == "bias_corrected":
             # the floors (see _bias_floors) come before the batch's own
             # statistic: the other order gives the same bits but a fit's peak
-            # RSS rose by about 5 MB.  Inside fit_rate they are computed
-            # once: they do not depend on n.
-            memo = _fit_floors.get()
-            if memo is None:
-                memo = {}
-            key = (target.alpha, target.scale, batch.seed, m)
-            if key not in memo:
-                memo[key] = _bias_floors(target, tab, batch.seed, blocks)
-            floor, floor_jk = memo[key]
+            # RSS rose by about 5 MB
+            floor, floor_jk = _per_fit(("floors", target.alpha, target.scale, batch.seed, m),
+                                       lambda: _bias_floors(target, tab, batch.seed, blocks))
         est, jk = _jackknifed(lambda keep: _one_sample_value(
             vals if keep is None else vals[keep], tab, tail_c, target.alpha), blocks)
         if estimator == "bias_corrected":
@@ -465,9 +469,10 @@ def fit_rate(spec: DistributionSpec, alpha: float, n_grid: Sequence[int], m: int
     seed, threads), StableLaw(alpha), estimator)`` bit for bit, but the
     shared work is done once: a prefix-consistent family draws each
     replicate once, at the largest n, and every n sums a prefix of it; the
-    bias floor and its jackknife values, which do not depend on n, are
-    computed at the first grid point and reused.  The slope is fitted on
-    the log of each n as an int (see ``sample_sum``).
+    bias floor with its jackknife values and the sorted two-sample
+    reference, which do not depend on n, are computed at the first grid
+    point and reused.  The slope is fitted on the log of each n as an int
+    (see ``sample_sum``).
     """
     if len(n_grid) < 4:
         raise DomainError("fit_rate needs at least 4 grid points")
@@ -483,7 +488,7 @@ def fit_rate(spec: DistributionSpec, alpha: float, n_grid: Sequence[int], m: int
     kept_logw = []
     dropped = []
     batches = _sample_sums(spec, n_grid, m, seed, threads)
-    token = _fit_floors.set({})
+    token = _fit_memo.set({})
     try:
         for n, batch in zip(n_grid, batches):
             res = empirical_w1(batch, target, estimator)
@@ -494,7 +499,7 @@ def fit_rate(spec: DistributionSpec, alpha: float, n_grid: Sequence[int], m: int
             else:
                 dropped.append((n, "non-positive corrected estimate"))
     finally:
-        _fit_floors.reset(token)
+        _fit_memo.reset(token)
     if len(kept_logn) < 2:
         raise DomainError("fewer than 2 usable points left after drops")
     slope, intercept = np.polyfit(kept_logn, kept_logw, 1)

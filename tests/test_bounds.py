@@ -310,7 +310,7 @@ class TestExample2:
 def unmemoized_optimize_gamma(spec, alpha, n, N):
     """Frozen copy of optimize_gamma's scan and refinement from before the
     per-alpha memo: D_alpha_gamma is evaluated at every grid point."""
-    from stable_stein._quad import minimize_scalar
+    from scipy.optimize import minimize_scalar
 
     if N == "auto":
         N = default_truncation(spec, n)
@@ -331,6 +331,58 @@ def unmemoized_optimize_gamma(spec, alpha, n, N):
     if values[idx] < t_star:
         g_star, t_star = float(grid[idx]), values[idx]
     return g_star, t_star
+
+
+PERFBENCH_FAMILIES = {       # the six summand laws of the benchmark, at alpha = 1.5
+    "Pareto": lambda: Pareto(1.5),
+    "ModifiedPareto_b4": lambda: equal_weight_mp(1.5, 4.0),
+    "ModifiedPareto_b2": lambda: equal_weight_mp(1.5, 2.0),
+    "ModifiedPareto_b1.8": lambda: equal_weight_mp(1.5, 1.8),
+    "HallTransform": lambda: HallTransform(a=0.3, b=0.24, c=0.2, alpha=1.5),
+    "LogPerturbedPareto": lambda: LogPerturbedPareto(1.5, 1.0, x0=5.0),
+}
+
+
+class TestBoundedMinimizerParity:
+    """The in-house bounded Brent minimizer returns scipy's (x, fun) bits."""
+
+    @staticmethod
+    def scipy_bounded(func, a, b):
+        from scipy.optimize import minimize_scalar
+
+        res = minimize_scalar(func, bounds=(a, b), method="bounded", options={"xatol": 1e-6})
+        return res.x, res.fun, res.nfev
+
+    @pytest.mark.parametrize("n", [100, 1000, 10 ** 6])
+    @pytest.mark.parametrize("family", sorted(PERFBENCH_FAMILIES))
+    def test_optimize_gamma_objective(self, family, n, monkeypatch):
+        import stable_stein.bounds as bnd
+
+        seen = []
+        real = bnd._minimize_bounded
+
+        def recording(func, a, b):
+            out = real(func, a, b)
+            seen.append((func, a, b, out))
+            return out
+
+        monkeypatch.setattr(bnd, "_minimize_bounded", recording)
+        optimize_gamma(PERFBENCH_FAMILIES[family](), 1.5, n, "auto")
+        (func, a, b, (x, fx)), = seen
+        assert type(a) is type(b) is np.float64      # the scan's grid points
+        want_x, want_fun, _ = self.scipy_bounded(func, a, b)
+        assert (x, fx) == (want_x, want_fun)
+
+    def test_evaluation_cap(self):
+        from stable_stein.bounds import _minimize_bounded
+
+        def func(x):
+            return abs(x) ** 0.1
+
+        a, b = np.float64(-1e140), np.float64(0.7e140)
+        want_x, want_fun, nfev = self.scipy_bounded(func, a, b)
+        assert nfev == 500          # stopped by the cap, not the tolerance
+        assert _minimize_bounded(func, a, b) == (want_x, want_fun)
 
 
 class TestOptimizeGamma:

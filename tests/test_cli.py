@@ -472,6 +472,38 @@ class TestScipyFreeStartup:
         assert len(report) == 2 + len(self.LIGHT_COMMANDS)
         assert report == {step: [0, []] for step in report}
 
+    # the Monte-Carlo commands: a quantile table and, for the csv rows, a
+    # bounded minimization over gamma; each alpha builds a fresh table
+    MONTE_CARLO_COMMANDS = [
+        ["simulate", "--spec", "pareto", "--alpha", "1.3", "--n", "1000", "--m", "2000",
+         "--seed", "1"],
+        ["rate-fit", "--spec", "pareto", "--alpha", "1.7", "--n-grid", "100,200,400,800",
+         "--m", "300", "--estimator", "one_sample_quantile", "--format", "csv"],
+    ]
+
+    def test_quantile_table_and_monte_carlo_commands_load_no_scipy(self):
+        r = run_fresh(f"""
+            import contextlib, io, json, sys
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+            import stable_stein
+            stable_stein.quantile_table(1.5)
+            report = {{"quantile_table(1.5)": [0, scipy_modules()]}}
+            import stable_stein.cli
+            for argv in {self.MONTE_CARLO_COMMANDS!r}:
+                with contextlib.redirect_stdout(io.StringIO()), \\
+                        contextlib.redirect_stderr(io.StringIO()):
+                    rc = stable_stein.cli.main(argv)
+                report[" ".join(argv)] = [rc, scipy_modules()]
+            print(json.dumps(report))
+        """)
+        assert r.returncode == 0, r.stderr
+        report = json.loads(r.stdout)
+        assert len(report) == 1 + len(self.MONTE_CARLO_COMMANDS)
+        assert report == {step: [0, []] for step in report}
+
     def test_first_import_inside_worker_threads(self):
         r = run_fresh("""
             import json, sys

@@ -1,7 +1,10 @@
 """Stable density/CDF/quantile against the analytic Cauchy case, doubled-
-resolution inversion oracles, finite differences and the derivative bounds."""
+resolution inversion oracles, finite differences and the derivative bounds;
+the quantile table's PCHIP against scipy's."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -217,3 +220,93 @@ class TestQuantileTable:
         u = np.array([0.9])
         assert float(t2(u)[0]) == pytest.approx(
             2.0 ** (1.0 / 1.5) * float(t1(u)[0]), rel=1e-12)
+
+
+@pytest.fixture
+def table_knots(monkeypatch):
+    """alpha -> (knots F(x_k), values x_k, interpolant) of a fresh QuantileTable."""
+    den = sys.modules["stable_stein.density"]   # the package's `density` is a function
+    seen = []
+
+    class Recording(den._Pchip):
+        def __init__(self, x, y):
+            seen.append((np.array(x), np.array(y)))
+            super().__init__(x, y)
+
+    monkeypatch.setattr(den, "_Pchip", Recording)
+
+    def build(alpha):
+        tab = QuantileTable(alpha)
+        fs, xs = seen.pop()
+        return fs, xs, tab._inv
+
+    return build
+
+
+class TestPchipParity:
+    """The in-house PCHIP equals scipy's PchipInterpolator bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.3, 1.5, 1.7, 1.9])
+    def test_table_knots_match_scipy(self, alpha, table_knots):
+        from scipy.interpolate import PchipInterpolator
+
+        fs, xs, ours = table_knots(alpha)
+        ref = PchipInterpolator(fs, xs, extrapolate=False)
+        assert fs.size > 600
+        for k in range(4):
+            assert np.array_equal(ours.c[k], ref.c[k]), k
+        rng = np.random.default_rng(int(alpha * 10))
+        probes = np.concatenate([
+            rng.uniform(fs[0], fs[-1], 100_000),
+            fs, np.nextafter(fs, 2.0), np.nextafter(fs, 0.0),
+        ])
+        want, got = ref(probes), ours(probes)
+        assert np.array_equal(got, want, equal_nan=True)
+        inside = (probes >= fs[0]) & (probes <= fs[-1])
+        assert np.all(np.isfinite(got[inside])) and np.all(np.isnan(got[~inside]))
+        ends = ours(fs[[0, -1]])     # the last interval is closed on the right
+        assert np.array_equal(ends, ref(fs[[0, -1]])) and np.all(np.isfinite(ends))
+
+    def test_nan_outside_the_knots(self, table_knots):
+        fs, _, ours = table_knots(1.5)
+        out = ours(np.array([fs[0] - 1e-3, np.nextafter(fs[0], 0.0), np.nextafter(fs[-1], 2.0),
+                             fs[-1] + 1e-3, -np.inf, np.inf, np.nan]))
+        assert np.all(np.isnan(out))
+
+    def test_chunked_evaluation_equals_pointwise(self, table_knots):
+        # a call longer than one evaluation chunk gives the values of
+        # one-point calls, at the chunk edges too
+        fs, _, ours = table_knots(1.3)
+        probes = np.random.default_rng(3).uniform(fs[0], fs[-1], 20_000)
+        whole = ours(probes)
+        for i in (0, 1, 8191, 8192, 8193, 16383, 16384, 19999):
+            assert ours(probes[i:i + 1])[0] == whole[i], i
+
+    def test_shared_by_racing_threads(self, table_knots):
+        # one interpolant read by more threads than cores, with a short
+        # switch interval: every thread gets the serial values
+        _, _, ours = table_knots(1.7)
+        rng = np.random.default_rng(11)
+        work = [rng.uniform(ours.x[0], ours.x[-1], 30_000) for _ in range(6)]
+        want = [ours(w) for w in work]
+        got = [None] * len(work)
+
+        def run(i):
+            for _ in range(5):
+                got[i] = ours(work[i])
+                if not np.array_equal(got[i], want[i]):
+                    return
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(work))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)

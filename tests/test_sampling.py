@@ -1,6 +1,7 @@
 """Samplers, stream discipline, the W1 estimators and the rate fit."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -271,6 +272,37 @@ class TestFitRate:
         for n, res in zip(grid, fit.per_n):
             assert res == empirical_w1(sample_sum(spec, n, 3000, 5), law), n
         assert fit.dropped == ((400, "non-positive corrected estimate"),)
+
+    def test_two_sample_reference_drawn_once_per_fit(self, pareto15, monkeypatch):
+        import stable_stein.sampling as smp
+
+        draws = []
+        real = smp.sample_stable
+
+        def spy(alpha, rng, size=None):
+            draws.append(size)
+            return real(alpha, rng, size)
+
+        monkeypatch.setattr(smp, "sample_stable", spy)
+        grid = [100, 316, 1000, 3162]
+        fit = smp.fit_rate(pareto15, 1.5, grid, 3000, 3, "two_sample")
+        assert draws == [3000]
+        law = StableLaw(1.5)
+        for n, res in zip(grid, fit.per_n):
+            assert res == empirical_w1(sample_sum(pareto15, n, 3000, 3), law, "two_sample"), n
+        assert len(draws) == 1 + len(grid)     # outside a fit: one draw per call
+
+    def test_fresh_table_thread_count_invariant(self, pareto15, monkeypatch):
+        # each fit builds its own quantile table; its interpolant keeps no
+        # scratch between calls, so the thread count moves no bit
+        den = sys.modules["stable_stein.density"]   # the package's `density` is a function
+        grid = [100, 200, 400, 800]
+        fits = []
+        for threads in (1, 2):
+            monkeypatch.setattr(den, "_table_cache", {})
+            fits.append(fit_rate(pareto15, 1.5, grid, 2000, seed=7,
+                                 estimator="one_sample_quantile", threads=threads))
+        assert fits[0] == fits[1]
 
     @pytest.mark.parametrize("threads", [2, 5])
     def test_thread_count_invariant(self, pareto15, threads):
