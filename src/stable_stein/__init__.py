@@ -3,7 +3,7 @@
 Public surface:
 
 * constants: ``gamma_fn``, ``beta_fn``, ``d_alpha``, ``D_alpha``,
-  ``D_alpha_gamma``, ``SteinConstants``
+  ``D_alpha_gamma``
 * target law: ``StableLaw``; ``density``, ``density_deriv``, ``cdf`` and
   ``quantile`` of it; heat-kernel bound checks
 * summand laws: ``Pareto``, ``ModifiedPareto``, ``HallTransform``,
@@ -70,6 +70,6 @@ from .sampling import (
     sample_summand,
     substream,
 )
-from .special import SteinConstants, D_alpha, D_alpha_gamma, beta_fn, d_alpha, gamma_fn
+from .special import D_alpha, D_alpha_gamma, beta_fn, d_alpha, gamma_fn
 
 __version__ = "0.1.0"

@@ -223,7 +223,7 @@ def _m2_tail_integral(spec: DistributionSpec, scale: float) -> float:
     def integrand(w):
         if w > 690.0:
             return 0.0
-        return float(spec.m2(math.exp(w) * scale)) * math.exp((1.0 - alpha) * w)
+        return spec.m2(math.exp(w) * scale) * math.exp((1.0 - alpha) * w)
 
     val, _ = quad(integrand, 0.0, np.inf, limit=200)
     return val
@@ -241,7 +241,7 @@ def _tail_model_truncation(spec, alpha, n, N, n_term):
     root = ell ** (1.0 / alpha)
     mean = spec.mean
     if mean == 0.0:
-        m2_at = float(spec.m2(root * N))
+        m2_at = spec.m2(root * N)
         m2_int = _m2_tail_integral(spec, root * N)
         return 4.0 * da * (alpha / (alpha - 1.0) + m2_at + m2_int) * N ** (1.0 - alpha)
     delta = 1.0 - ell ** (-1.0 / spec.alpha) / N * abs(mean)
@@ -250,12 +250,12 @@ def _tail_model_truncation(spec, alpha, n, N, n_term):
             f"delta_n <= 0: N={N} is too small for n={n}; "
             f"need N > {root ** -1.0 * abs(mean):.6g}"
         )
-    m2_at = float(spec.m2(root * N * delta))
+    m2_at = spec.m2(root * N * delta)
 
     def delta_integrand(w):
         if w > 690.0:
             return 0.0
-        return float(spec.m2(math.exp(w) * root * N)) * math.exp((1.0 - alpha) * w) \
+        return spec.m2(math.exp(w) * root * N) * math.exp((1.0 - alpha) * w) \
             / delta ** (1.0 - alpha)
 
     m2_int_raw = quad(delta_integrand, math.log(delta), np.inf, limit=200)[0]
@@ -312,22 +312,18 @@ def rate_order(spec: DistributionSpec, alpha: Optional[float] = None) -> RateOrd
 
 
 def bound_total_slope(spec: DistributionSpec, alpha: float, n_grid: Sequence[int],
-                      gamma: Optional[float] = None, N="auto",
-                      divide_log: bool = False) -> float:
+                      gamma: Optional[float] = None, N="auto") -> float:
     """Log-log slope of the assembled bound totals over a grid of n.
 
     gamma defaults to 2 - alpha, which makes the smoothing term decay at the
     leading order itself, so pure-power families fit their rate exponent
-    exactly.  ``divide_log`` removes a log ell_n factor before fitting (for
-    the beta = 2 family)."""
+    exactly."""
     g = (2.0 - alpha) if gamma is None else gamma
     logs_n = []
     logs_t = []
     for n in n_grid:
         trunc = default_truncation(spec, int(n)) if N == "auto" else N
         total = bound_main(spec, alpha, int(n), trunc, g).total
-        if divide_log:
-            total /= math.log(spec.ell(int(n)))
         logs_n.append(math.log(n))
         logs_t.append(math.log(total))
     slope, _ = np.polyfit(logs_n, logs_t, 1)

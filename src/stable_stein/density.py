@@ -105,14 +105,14 @@ def _inversion_edges(xabs: float, alpha: float):
     return stub, np.concatenate([dyadic, rest])
 
 
-def _fourier_integral(theta: float, x: float, alpha: float, kind: str, order: int = 16) -> float:
+def _fourier_integral(theta: float, x: float, alpha: float, kind: str) -> float:
     """Core oscillatory integral over (0, inf) of l^theta e^{-l^alpha} trig(l x).
 
     kind: "cos", "sin", or "sinc" (sin(l x)/l with theta treated as 0).
     """
     xabs = abs(x)
     stub, edges = _inversion_edges(xabs, alpha)
-    nodes, weights = panel_nodes(edges, order=order)
+    nodes, weights = panel_nodes(edges)
     damp = np.exp(-nodes ** alpha)
     if kind == "cos":
         vals = nodes ** theta * damp * np.cos(nodes * x)

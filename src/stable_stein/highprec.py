@@ -43,9 +43,7 @@ def hp_D_alpha_gamma(alpha, gamma) -> mp.mpf:
     ctx = _ctx()
     a = ctx.mpf(alpha)
     g = ctx.mpf(gamma)
-    da = a * ctx.mpf(2) ** (a - 1) * ctx.gamma((1 + a) / 2) / (
-        ctx.sqrt(ctx.pi) * ctx.gamma(1 - a / 2)
-    )
+    da = hp_d_alpha(alpha)
     bracket = 16 / (ctx.pi * (2 - a)) * ctx.sqrt((a + 3) / a) + 16 / (
         ctx.pi * (a - 1)
     ) * ctx.sqrt((2 * a + 1) / a)

@@ -26,6 +26,7 @@ A Monte-Carlo estimate of K1 exists purely as a test oracle
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -94,9 +95,9 @@ class DistributionSpec:
     def tail_pos(self, x):
         """P(xi > x) for x >= 0.
 
-        A scalar rule; arrays map it.  A float (an ``np.float64`` too) in
-        gives a Python float out.  The quadrature integrands call it one
-        point at a time, so the scalar path is the hot one.
+        A scalar rule: a real number in (a float, an ``np.float64``, an int
+        or a 0-d array) gives a Python float out.  The quadrature integrands
+        call it one point at a time; it takes no arrays.
         """
         raise NotImplementedError
 
@@ -122,13 +123,8 @@ class DistributionSpec:
         """Largest r with P(|xi| <= r) = 0 (0 when there is no gap)."""
         return 0.0
 
-    def m1(self, x):
-        t = self.tail_abs(x)
-        return 2.0 * self.tail_pos(x) / t - 1.0
-
     def m2(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.tail_abs(x) * x ** self.alpha / self.theta - 1.0
+        return self.tail_abs(x) * float(x) ** self.alpha / self.theta - 1.0
 
     # -- moments ----------------------------------------------------------
     @property
@@ -195,7 +191,7 @@ class DistributionSpec:
 
 
 def _map_scalar(rule, x):
-    """Apply a scalar rule elementwise; a 0-d input gives a Python float."""
+    """Map a scalar rule over an array (k_function's t); 0-d gives a float."""
     xs = np.asarray(x, dtype=float)
     out = np.array([rule(v) for v in xs.ravel().tolist()]).reshape(xs.shape)
     return out if xs.ndim else float(out)
@@ -222,8 +218,6 @@ class Pareto(DistributionSpec):
         _check_alpha_12(self.alpha, "Pareto")
 
     def tail_pos(self, x):
-        if not isinstance(x, float):
-            return _map_scalar(self.tail_pos, x)
         return 0.5 * max(float(x), 1.0) ** -self.alpha
 
     tail_neg = tail_pos
@@ -240,13 +234,8 @@ class Pareto(DistributionSpec):
     def support_radius(self) -> float:
         return 1.0
 
-    def m1(self, x):
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        return out if out.ndim else 0.0
-
     def m2(self, x):
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        return out if out.ndim else 0.0
+        return 0.0
 
     def abs_central_moment(self, gamma: float) -> float:
         if not (0.0 < gamma <= 1.0):
@@ -319,8 +308,6 @@ class ModifiedPareto(DistributionSpec):
             )
 
     def tail_pos(self, x):
-        if not isinstance(x, float):
-            return _map_scalar(self.tail_pos, x)
         x = float(x)
         if x <= 1.0:
             return 0.5
@@ -341,9 +328,10 @@ class ModifiedPareto(DistributionSpec):
         return 1.0
 
     def m2(self, x):
+        # the power stays numpy's 0-d one: Python's float ** differs in the
+        # last bit on some inputs, and bound_mthm2 integrates this
         x = np.asarray(x, dtype=float)
-        out = (self.B * self.alpha) / (self.A * self.beta) * x ** (self.alpha - self.beta)
-        return out if out.ndim else float(out)
+        return float((self.B * self.alpha) / (self.A * self.beta) * x ** (self.alpha - self.beta))
 
     def abs_central_moment(self, gamma: float) -> float:
         if not (0.0 < gamma <= 1.0):
@@ -544,8 +532,6 @@ class LogPerturbedPareto(DistributionSpec):
                 )
 
     def tail_abs(self, x):
-        if not isinstance(x, float):
-            return _map_scalar(self.tail_abs, x)
         x = float(x)
         if x <= self.x0:
             return 1.0
@@ -595,7 +581,7 @@ class LogPerturbedPareto(DistributionSpec):
             raise DomainError(f"abs_central_moment requires gamma in (0, 1], got {gamma}")
 
         def integrand(s):
-            return gamma * s ** (gamma - 1.0) * float(self.tail_abs(s))
+            return gamma * s ** (gamma - 1.0) * self.tail_abs(s)
 
         return self.x0 ** gamma + _tail_integral(integrand, self.x0, math.inf)
 
@@ -661,17 +647,11 @@ class GeneralTail(DistributionSpec):
     def _model_neg(self, x: float) -> float:
         return (1.0 - self.m1_fn(x)) / 2.0 * (1.0 + self.m2_fn(x)) * self.theta_scale * x ** -self.alpha
 
-    # Each rule below is scalar; arrays map it.  float(x) keeps the
-    # arithmetic in Python floats for an np.float64 argument too.
     def tail_pos(self, x):
-        if isinstance(x, float):
-            return self._model_pos(max(float(x), self.A_thresh))
-        return _map_scalar(self.tail_pos, x)
+        return float(self._model_pos(max(float(x), self.A_thresh)))
 
     def tail_neg(self, x):
-        if isinstance(x, float):
-            return self._model_neg(max(float(x), self.A_thresh))
-        return _map_scalar(self.tail_neg, x)
+        return float(self._model_neg(max(float(x), self.A_thresh)))
 
     @property
     def theta(self) -> float:
@@ -682,24 +662,16 @@ class GeneralTail(DistributionSpec):
         return self.A_thresh
 
     def m1(self, x):
-        if isinstance(x, float):
-            return float(self.m1_fn(float(x)))
-        return _map_scalar(self.m1, x)
+        return float(self.m1_fn(float(x)))
 
     def m2(self, x):
-        if isinstance(x, float):
-            return float(self.m2_fn(float(x)))
-        return _map_scalar(self.m2, x)
+        return float(self.m2_fn(float(x)))
 
-    @property
+    @functools.cached_property
     def mean(self) -> float:
-        cached = getattr(self, "_mean_cache", None)
-        if cached is None:
-            pos, _ = quad(lambda s: float(self.tail_pos(s)), 0.0, np.inf, limit=400)
-            neg, _ = quad(lambda s: float(self.tail_neg(s)), 0.0, np.inf, limit=400)
-            cached = pos - neg
-            object.__setattr__(self, "_mean_cache", cached)
-        return cached
+        pos, _ = quad(self.tail_pos, 0.0, np.inf, limit=400)
+        neg, _ = quad(self.tail_neg, 0.0, np.inf, limit=400)
+        return pos - neg
 
     def describe(self) -> str:
         return (f"GeneralTail(alpha={self.alpha}, theta={self.theta_scale}, "
@@ -784,11 +756,11 @@ def _one_sided_tail(spec: DistributionSpec, sgn: float, root: float, mu: float):
     if sgn > 0.0:
         def tail(r):
             z = root * r + mu
-            return float(spec.tail_pos(z)) if z >= 0.0 else 1.0 - float(spec.tail_neg(-z))
+            return spec.tail_pos(z) if z >= 0.0 else 1.0 - spec.tail_neg(-z)
     else:
         def tail(r):
             z = mu - root * r
-            return float(spec.tail_neg(-z)) if z <= 0.0 else 1.0 - float(spec.tail_pos(z))
+            return spec.tail_neg(-z) if z <= 0.0 else 1.0 - spec.tail_pos(z)
     return tail
 
 

@@ -57,6 +57,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -200,8 +201,8 @@ _BLOCK = 256          # replicates drawn into one row block
 _FLOOR_BATCHES = 5
 _JACKKNIFE_K = 20
 
-# The bias floors and the two-sample reference of the fit_rate call in
-# progress, keyed by everything they depend on; unset outside a fit.  A
+# The bias floors and the two-sample reference of the fit in progress (a
+# ``_one_fit`` block), keyed by everything they depend on; unset outside.  A
 # context variable keeps the memos of concurrent fits in other threads apart
 # and leaves empirical_w1's signature alone; nothing is kept once the fit
 # returns.
@@ -209,11 +210,21 @@ _fit_memo: ContextVar[dict] = ContextVar("_fit_memo")
 
 
 def _per_fit(key: tuple, make):
-    """``make()``; inside fit_rate, made once per fit for each key."""
+    """``make()``; inside ``_one_fit``, made once per fit for each key."""
     memo = _fit_memo.get({})
     if key not in memo:
         memo[key] = make()
     return memo[key]
+
+
+@contextmanager
+def _one_fit():
+    """The block's empirical_w1 calls share one memo (see ``_per_fit``)."""
+    token = _fit_memo.set({})
+    try:
+        yield
+    finally:
+        _fit_memo.reset(token)
 
 
 def _compensated_row_sums(x: np.ndarray) -> np.ndarray:
@@ -488,8 +499,7 @@ def fit_rate(spec: DistributionSpec, alpha: float, n_grid: Sequence[int], m: int
     kept_logw = []
     dropped = []
     batches = _sample_sums(spec, n_grid, m, seed, threads)
-    token = _fit_memo.set({})
-    try:
+    with _one_fit():
         for n, batch in zip(n_grid, batches):
             res = empirical_w1(batch, target, estimator)
             results.append(res)
@@ -498,8 +508,6 @@ def fit_rate(spec: DistributionSpec, alpha: float, n_grid: Sequence[int], m: int
                 kept_logw.append(math.log(res.estimate))
             else:
                 dropped.append((n, "non-positive corrected estimate"))
-    finally:
-        _fit_memo.reset(token)
     if len(kept_logn) < 2:
         raise DomainError("fewer than 2 usable points left after drops")
     slope, intercept = np.polyfit(kept_logn, kept_logw, 1)

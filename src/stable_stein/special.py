@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +43,6 @@ __all__ = [
     "d_alpha_quadrature",
     "D_alpha",
     "D_alpha_gamma",
-    "SteinConstants",
     "DEFAULT_ALPHA_LIMITS",
 ]
 
@@ -215,22 +213,6 @@ def _holder_prefactor(alpha: float) -> float:
         math.pi * (alpha - 1.0)
     ) * math.sqrt((2.0 * alpha + 1.0) / alpha)
     return d_alpha(alpha) / alpha * bracket
-
-
-@dataclass(frozen=True)
-class SteinConstants:
-    """The per-alpha constants; the gamma-dependent one is computed on demand."""
-
-    alpha: float
-    d_alpha: float
-    D_alpha: float
-
-    @classmethod
-    def for_alpha(cls, alpha: float) -> "SteinConstants":
-        return cls(alpha=alpha, d_alpha=d_alpha(alpha), D_alpha=D_alpha(alpha))
-
-    def holder_constant(self, gamma: float) -> float:
-        return D_alpha_gamma(self.alpha, gamma)
 
 
 def check_alpha_window(alpha: float, limits=DEFAULT_ALPHA_LIMITS) -> None:

@@ -157,30 +157,21 @@ class TestSummandLaws:
 
     @pytest.mark.parametrize("x", [0.0, 1.0, 1.999, 2.0, 2.0000001, 3.5, 40.0, 1e9])
     @pytest.mark.parametrize("kind", [float, np.float64])
-    def test_general_tail_scalar_equals_array_element(self, x, kind):
-        # the scalar rule is the one the quadrature uses; the array path
-        # maps it, so both give the same bits below, at and above A_thresh
+    def test_general_tail_scalar_rules_give_floats(self, x, kind):
+        # every rule takes any real scalar and gives the float call's bits,
+        # below, at and above A_thresh
         gt = GeneralTail(alpha=1.5, theta_scale=1.0, A_thresh=2.0,
                          m1_fn=lambda x: 0.5 * x ** -2.0, m2_fn=lambda x: 0.1 / x)
-        xs = np.array([0.5, x, 7.0])
         # m1 and m2 are the model functions themselves, unclamped
         names = ("tail_pos", "tail_neg", "tail_abs") + (("m1", "m2") if x > 0.0 else ())
         for name in names:
             method = getattr(gt, name)
-            scalar = method(kind(x))
-            assert type(scalar) is float, name
-            assert scalar == method(xs)[1], name
-            assert scalar == method(np.asarray(x)), name
+            want = repr(method(float(x)))
+            for arg in [kind(x), np.asarray(x)] + ([int(x)] if x.is_integer() else []):
+                got = method(arg)
+                assert type(got) is float and repr(got) == want, (name, arg)
         frozen = gt._model_pos(2.0)
         assert (gt.tail_pos(kind(x)) == frozen) == (x <= 2.0)
-
-    def test_general_tail_array_shape(self):
-        gt = GeneralTail(alpha=1.5, theta_scale=1.0, A_thresh=2.0,
-                         m1_fn=lambda x: 0.0, m2_fn=lambda x: 0)
-        assert gt.tail_pos([1.0, 3.0]).shape == (2,)
-        assert gt.tail_pos(np.ones((2, 3))).shape == (2, 3)
-        assert gt.m2(np.array([2.0, 5.0])).dtype == np.float64
-        assert type(gt.tail_pos(3)) is float
 
     def test_log_pareto_threshold_solved_once_per_n(self, monkeypatch):
         import stable_stein.kernels as ker
@@ -216,7 +207,8 @@ class TestSummandLaws:
 
 
 # Frozen copies of the 0-d numpy tail expressions the scalar rules replaced;
-# each rule must give these bits for a float and for an np.float64.
+# each rule must give these bits for a float, an np.float64, a 0-d array and,
+# on integral points, an int.
 def frozen_pareto_tail_pos(spec, x):
     x = np.asarray(x, dtype=float)
     out = 0.5 * np.maximum(x, 1.0) ** -spec.alpha
@@ -268,20 +260,49 @@ class TestScalarTailRules:
         rule = getattr(spec, method)
         for x in scalar_rule_points(threshold):
             want = repr(frozen(spec, x))
-            for kind in (float, np.float64):
-                got = rule(kind(x))
-                assert type(got) is float, (x, kind)
-                assert repr(got) == want, (x, kind)
+            for arg in [x, np.float64(x), np.asarray(x)] + ([int(x)] if x.is_integer() else []):
+                got = rule(arg)
+                assert type(got) is float, (x, type(arg))
+                assert repr(got) == want, (x, type(arg))
 
-    def test_array_maps_the_scalar_rule(self, name, spec, method, frozen, threshold):
-        rule = getattr(spec, method)
-        xs = np.array(scalar_rule_points(threshold))
-        out = rule(xs)
-        assert out.dtype == np.float64 and out.shape == xs.shape
-        assert np.array_equal(out, np.array([rule(x) for x in xs.tolist()]))
-        assert np.array_equal(rule(xs[:6].reshape(2, 3)), out[:6].reshape(2, 3))
-        assert type(rule(3)) is float and rule(3) == rule(3.0)
-        assert type(rule(np.asarray(7.5))) is float and rule(np.asarray(7.5)) == rule(7.5)
+
+def test_readers_call_rules_with_scalars_only(monkeypatch):
+    # every reader of a law's tail rules passes one real number at a time
+    # and gets a Python float back; no reader relies on an array path
+    from stable_stein.bounds import bound_main, bound_mthm2
+    from stable_stein.kernels import DistributionSpec, _discrepancy_quadrature
+
+    calls = set()
+
+    def guarded(qualname, rule):
+        def wrapper(self, x):
+            assert np.ndim(x) == 0, (qualname, x)
+            out = rule(self, x)
+            assert type(out) is float, (qualname, out)
+            calls.add(qualname)
+            return out
+        return wrapper
+
+    for cls in (DistributionSpec, Pareto, ModifiedPareto, LogPerturbedPareto, GeneralTail):
+        for name in ("tail_pos", "tail_neg", "tail_abs", "m1", "m2"):
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, guarded(f"{cls.__name__}.{name}", vars(cls)[name]))
+
+    gt = GeneralTail(alpha=1.5, theta_scale=1.0, A_thresh=2.0,
+                     m1_fn=lambda x: 0.5 * x ** -2.0, m2_fn=lambda x: 0.1 / x)
+    mp = equal_weight_mp(1.5, 1.8)
+    lp = LogPerturbedPareto(1.5, 1.0, x0=5.0)
+    assert gt.mean > 0.0
+    for spec in (gt, mp):
+        N = 5.0 if spec is gt else spec.default_truncation(1000)
+        bound_main(spec, 1.5, 1000, N, 0.5)
+        bound_mthm2(spec, 1.5, 1000, N, 0.5)
+    bound_main(lp, 1.5, 1000, lp.default_truncation(1000), 0.5)
+    _discrepancy_quadrature(lp, 1000, 20.0)
+    DistributionSpec.abs_central_moment(mp, 0.5)
+    assert calls >= {"GeneralTail.tail_pos", "GeneralTail.tail_neg", "GeneralTail.m2",
+                     "ModifiedPareto.tail_pos", "ModifiedPareto.m2",
+                     "LogPerturbedPareto.tail_abs", "LogPerturbedPareto.tail_pos"}
 
 
 class TestKFunction:

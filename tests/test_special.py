@@ -12,7 +12,6 @@ from stable_stein.errors import DomainError
 from stable_stein.special import (
     D_alpha,
     D_alpha_gamma,
-    SteinConstants,
     beta_fn,
     d_alpha,
     d_alpha_quadrature,
@@ -201,10 +200,3 @@ class TestBoundConstants:
                     (1.0 - gamma) / alpha, (gamma + alpha) / alpha)
                 assert D_alpha_gamma(alpha, gamma) == want, (alpha, gamma)
                 assert D_alpha_gamma(np.float64(alpha), gamma) == want, (alpha, gamma)
-
-    def test_constants_bundle(self):
-        c = SteinConstants.for_alpha(1.5)
-        assert c.d_alpha == d_alpha(1.5)
-        assert c.D_alpha == D_alpha(1.5)
-        assert c.holder_constant(0.5) == D_alpha_gamma(1.5, 0.5)
-        assert c.d_alpha > 0.0 and c.D_alpha > 0.0
