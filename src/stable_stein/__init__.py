@@ -54,7 +54,6 @@ from .kernels import (
     Pareto,
     discrepancy_l1,
     k_function,
-    k_function_mc,
     kernel_profile,
     stable_kernel,
     stable_kernel_mass,

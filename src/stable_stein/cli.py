@@ -134,6 +134,13 @@ _SPEC_FLAGS = {
     "hall": ("A", "B", "c"),
     "log-pareto": ("beta", "K0", "x0"),
 }
+# the flag groups each --spec needs at least one flag of; missing a whole
+# group is a usage error too
+_SPEC_NEEDS = {
+    "modified-pareto": (("beta",),),
+    "hall": (("c",), ("A", "B")),
+    "log-pareto": (("K0", "x0"),),
+}
 
 
 def build_spec(args) -> object:
@@ -141,8 +148,6 @@ def build_spec(args) -> object:
     if name == "pareto":
         return Pareto(args.alpha)
     if name == "modified-pareto":
-        if args.beta is None:
-            raise DomainError("--beta is required for modified-pareto")
         A, B = args.A, args.B
         if A is None and B is None:
             # equal-weight normalization A = B = alpha beta / (alpha + beta)
@@ -153,12 +158,8 @@ def build_spec(args) -> object:
             B = args.beta * (1.0 - A / args.alpha)
         return ModifiedPareto(args.alpha, args.beta, A=A, B=B)
     if name == "hall":
-        if args.c is None:
-            raise DomainError("--c is required for hall")
         A = args.A
         B = args.B
-        if A is None and B is None:
-            raise DomainError("hall needs --A (tail weight 2a), --B optional")
         if B is None:
             B = 1.0 - A
         if A is None:
@@ -494,6 +495,10 @@ def main(argv: Optional[list] = None) -> int:
                   if getattr(args, flag) is not None and flag not in _SPEC_FLAGS[args.spec]]
         if unread:
             ap.error(f"--spec {args.spec} does not read {', '.join(unread)}")
+        for group in _SPEC_NEEDS.get(args.spec, ()):
+            if all(getattr(args, flag) is None for flag in group):
+                ap.error(f"--spec {args.spec} needs "
+                         + " or ".join(f"--{flag}" for flag in group))
     # the row count np.arange would make, checked before it allocates
     if args.command == "density" and \
             (args.xmax + args.step / 2.0 + args.xmax) / args.step > 10 ** 6:

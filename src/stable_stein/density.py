@@ -16,6 +16,9 @@ eps = 1e-18, align panels to half-periods of the trigonometric factor for
 large |x|, and refine dyadically toward lambda = 0 where e^{-l^alpha} has
 unbounded higher derivatives (and l^theta may be singular for theta < 0).
 The innermost stub is integrated from the local power-law expansion.
+The quantile table takes its tail knots (x > 8) from the asymptotic tail
+series of F instead, and falls back to quadrature only where the series
+cannot give F to the last bit (alpha near 2, x near 8).
 
 Pure evaluation is thread-safe.  The quantile cache is built once per
 (alpha, scale) and is read-only afterwards, apart from its memo of
@@ -54,6 +57,9 @@ _LOG_EPS = -math.log(_EPS_TRUNC)
 # direct CDF quadrature is used up to this |x|; beyond, the power tail
 # F_bar(x) ~ (d_alpha/alpha) x^{-alpha} is accurate to ~1e-9 absolute
 _TAIL_SWITCH = 2000.0
+# the tail series stands in for quadrature where its smallest term is at most
+# this: far below half an ulp of F near 1
+_SERIES_TOL = 1e-17
 
 
 @dataclass(frozen=True)
@@ -177,6 +183,32 @@ def _cdf1(x: float, alpha: float) -> float:
         return 1.0 - tail if x > 0 else tail
     val = 0.5 + _fourier_integral(0.0, x, alpha, "sinc") / math.pi
     return min(1.0, max(0.0, val))
+
+
+def _tail_series(x: float, alpha: float) -> float | None:
+    """Upper tail 1 - F(x) of the unit law from its asymptotic series, or None.
+
+        F_bar(x) = (1/pi) sum_{k>=1} (-1)^{k+1} Gamma(alpha k)/k! sin(pi alpha k/2) x^{-alpha k}
+
+    (Zolotarev, One-dimensional Stable Distributions, 1986).  It diverges for
+    alpha > 1, so it is summed up to, not including, the smallest of the term
+    sizes Gamma(alpha k)/(pi k!) x^{-alpha k}, or the first size below
+    ``_SERIES_TOL`` / 1024, far under an ulp of F.  Returns None when the
+    smallest size exceeds ``_SERIES_TOL``: then the series cannot give F to
+    the last bit.
+    """
+    lx = alpha * math.log(x)
+    total = 0.0
+    k = 1
+    size = math.exp(math.lgamma(alpha) - lx) / math.pi
+    while size > _SERIES_TOL * 2.0 ** -10:
+        nxt = math.exp(math.lgamma(alpha * (k + 1)) - math.lgamma(k + 2) - (k + 1) * lx) / math.pi
+        if nxt >= size:
+            return None if size > _SERIES_TOL else total
+        total += (size if k % 2 else -size) * math.sin(0.5 * math.pi * alpha * k)
+        size = nxt
+        k += 1
+    return total
 
 
 def density(law: StableLaw, x: float) -> float:
@@ -357,9 +389,11 @@ class _Pchip:
 class QuantileTable:
     """Monotone interpolated inverse CDF for bulk Monte-Carlo use.
 
-    Direct quadrature feeds a PCHIP interpolant of x -> F(x) on a dense grid
-    (step 0.02 up to x = 8, then 260 log-spaced points up to x = 2000);
-    beyond the covered probability range the power-tail asymptotic
+    A PCHIP interpolant of x -> F(x) on a dense grid: step 0.02 up to x = 8
+    by direct quadrature, then 260 log-spaced points up to x = 2000 from the
+    tail series (``_tail_series``), by quadrature at the points where its
+    smallest term exceeds ``_SERIES_TOL``.  Beyond the covered probability
+    range the power-tail asymptotic
     Q(u) = (c/(1-u))^{1/alpha} takes over.  The interpolant is the in-house
     ``_Pchip``, equal bit for bit to scipy's PCHIP interpolator on these
     knots (``TestPchipParity`` in ``tests/test_density.py``), so building
@@ -376,7 +410,11 @@ class QuantileTable:
         core = np.arange(0.0, 8.0 + 0.02 / 2, 0.02)
         tail = np.geomspace(8.0 * 1.05, _TAIL_SWITCH, 260)
         xs = np.concatenate([core, tail])
-        fs = np.array([_cdf1(float(x), alpha) for x in xs])
+        fs = [_cdf1(float(x), alpha) for x in core]
+        for x in tail:      # the tail series, or quadrature where it falls short
+            f_bar = _tail_series(float(x), alpha)
+            fs.append(_cdf1(float(x), alpha) if f_bar is None else 1.0 - f_bar)
+        fs = np.array(fs)
         keep = np.concatenate([[True], np.diff(fs) > 0.0])
         xs, fs = xs[keep], fs[keep]
         self.u_hi = float(fs[-1])

@@ -19,9 +19,6 @@ the Pareto family and otherwise through the tail-integral identity
     E[X 1{X > t}] = t P(X > t) + int_t^inf P(X > r) dr,
 
 which needs only one-dimensional quadrature of the tail function.
-
-A Monte-Carlo estimate of K1 exists purely as a test oracle
-(``k_function_mc``); nothing in the bound assembly uses it.
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ __all__ = [
     "stable_kernel",
     "stable_kernel_mass",
     "k_function",
-    "k_function_mc",
     "discrepancy_l1",
     "tail_first_moment",
     "abs_tail_moment_zeta",
@@ -850,24 +846,6 @@ def k_function(spec: DistributionSpec, alpha: float, n: int, t, N: float,
     if backend in ("auto", "closed_form") and spec.k1_power_terms is not None:
         return _k_closed_two_term(spec, n, t, N)
     return _map_scalar(lambda tt: _k_quadrature(spec, n, tt, N), t)
-
-
-def k_function_mc(spec: DistributionSpec, alpha: float, n: int, t: float, N: float,
-                  draws: int = 10 ** 6, seed: int = 0):
-    """Monte-Carlo estimate of K1 with its standard error (test oracle only)."""
-    from .sampling import substream, STREAM_GENERIC
-
-    rng = substream(seed, STREAM_GENERIC, 0)
-    ell = spec.ell(n)
-    xi = spec.sample(rng, draws)
-    zeta = (xi - spec.mean) / ell ** (1.0 / alpha)
-    if t >= 0.0:
-        vals = zeta * ((zeta >= t) & (zeta <= N))
-    else:
-        vals = -zeta * ((zeta >= -N) & (zeta <= t))
-    est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(draws))
-    return est, se
 
 
 # ---------------------------------------------------------------------------

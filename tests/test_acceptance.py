@@ -28,7 +28,6 @@ from stable_stein.kernels import (
     Pareto,
     discrepancy_l1,
     k_function,
-    k_function_mc,
 )
 from stable_stein.sampling import (
     fit_rate,
@@ -38,6 +37,7 @@ from stable_stein.sampling import (
 )
 from stable_stein.special import D_alpha, D_alpha_gamma, d_alpha, d_alpha_quadrature
 
+from kernel_oracle import k_function_mc
 from reference_tables import (
     ALPHAS,
     BOUND_ANCHOR_CELLS,

@@ -276,6 +276,18 @@ class TestUsageErrors:
             self.assert_usage_error(r, flag)
         assert "CONFIG {" not in r.stderr
 
+    @pytest.mark.parametrize("argv,missing", [
+        (("bound", "--spec", "modified-pareto", "--alpha", "1.5", "--n", "1000"), ("--beta",)),
+        (("bound", "--spec", "hall", "--A", "0.6", "--n", "1000"), ("--c",)),
+        (("rate-order", "--spec", "hall", "--c", "0.2"), ("--A", "--B")),
+        (("bound", "--spec", "log-pareto", "--beta", "1", "--n", "1000"), ("--K0", "--x0")),
+    ])
+    def test_spec_flag_the_spec_needs(self, argv, missing):
+        r = run_cli(*argv)
+        for flag in missing:
+            self.assert_usage_error(r, flag)
+        assert "CONFIG {" not in r.stderr
+
     @pytest.mark.parametrize("argv", [
         ("--spec", "pareto"),
         ("--spec", "modified-pareto", "--beta", "4", "--A", "0.75", "--B", "2"),

@@ -310,3 +310,64 @@ class TestPchipParity:
         assert not any(t.is_alive() for t in threads)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+class TestTailKnots:
+    """The table's tail knots come from the stable tail series, and where the
+    series falls short of the last bit of F, from quadrature."""
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.3, 1.5, 1.7, 1.9])
+    def test_knots_match_quadrature(self, alpha, table_knots, monkeypatch):
+        fs, xs, _ = table_knots(alpha)
+        den = sys.modules["stable_stein.density"]
+        monkeypatch.setattr(den, "_tail_series", lambda x, alpha: None)
+        fq, xq, _ = table_knots(alpha)      # every knot by quadrature
+        assert fs.size == fq.size and np.array_equal(xs, xq)
+        assert np.max(np.abs(fs - fq)) <= 1e-14
+
+    @pytest.mark.parametrize("alpha,series_only", [(1.5, True), (1.99, False)])
+    def test_quadrature_only_where_the_series_falls_short(self, alpha, series_only,
+                                                           monkeypatch):
+        den = sys.modules["stable_stein.density"]
+        calls = []
+        real = den._cdf1
+
+        def counting(x, alpha):
+            calls.append(x)
+            return real(x, alpha)
+
+        monkeypatch.setattr(den, "_cdf1", counting)
+        QuantileTable(alpha)
+        core = 401                          # x = 0, 0.02, ..., 8
+        if series_only:
+            assert len(calls) == core
+        else:
+            assert len(calls) > core
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.1, 1.5, 1.9])
+    def test_series_against_mpmath(self, alpha):
+        import mpmath
+
+        den = sys.modules["stable_stein.density"]
+        a = mpmath.mpf(alpha)
+        with mpmath.workdps(40):
+            for x in np.geomspace(8.0 * 1.05, 2000.0, 260)[::13]:
+                got = den._tail_series(float(x), alpha)
+                if got is None:
+                    continue
+                # the same terms: up to, not including, the smallest size,
+                # or the first size below the cut
+                X = mpmath.mpf(float(x))
+                total = mpmath.mpf(0)
+                k = 1
+                size = mpmath.gamma(a) / (mpmath.pi * X ** a)
+                while size > den._SERIES_TOL * 2.0 ** -10:
+                    nxt = mpmath.gamma(a * (k + 1)) / (
+                        mpmath.pi * mpmath.factorial(k + 1) * X ** (a * (k + 1)))
+                    if nxt >= size:
+                        break
+                    total += (-1) ** (k + 1) * size * mpmath.sin(mpmath.pi * a * k / 2)
+                    size = nxt
+                    k += 1
+                want = 1 - total
+                assert abs(mpmath.mpf(1.0 - got) - want) <= math.ulp(float(want)), x

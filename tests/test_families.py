@@ -180,10 +180,10 @@ EXPECTED = {
     'hall/describe': "'HallTransform(a=0.3, b=0.24, c=0.2, alpha=1.5)'",
     'hall/discrepancy_l1/N=50.0': '0.7381821240783646',
     'hall/discrepancy_l1/N=inf': 'DomainError',
-    'hall/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.16025141867068138, std_error=0.054367625148571797, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.2909219570361677)",
-    'hall/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.046323027199586864, std_error=0.0748507389702378, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261995)",
-    'hall/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.45117337570684907, std_error=0.07630578058643679, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
-    'hall/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.36082289362578635, std_error=0.08177961598717322, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
+    'hall/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.16025141867068338, std_error=0.05436762514857122, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.29092195703616824)",
+    'hall/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.04632302719958831, std_error=0.07485073897023868, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261981)",
+    'hall/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.4511733757068516, std_error=0.07630578058643665, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
+    'hall/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3608228936257864, std_error=0.08177961598717357, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
     'hall/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.4083543077498136, std_error=0.09282951461556413, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
     'hall/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.401065228567461, std_error=0.09765538040221143, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
     'hall/k_function/t=-0.3': '0.0009872948901439387',
@@ -203,10 +203,10 @@ EXPECTED = {
     'log/describe': "'LogPerturbedPareto(alpha=1.5, beta=1.0, K0=6.94674, x0=5)'",
     'log/discrepancy_l1/N=50.0': '1.8135116395517856',
     'log/discrepancy_l1/N=inf': 'DomainError',
-    'log/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0, std_error=0.045346930965669975, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.2909219570361677)",
-    'log/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.35459845976867405, std_error=0.29638236693232173, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261995)",
-    'log/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.29027156092659806, std_error=0.03488225854803219, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
-    'log/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.6690983261948735, std_error=0.32801097142387264, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
+    'log/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0, std_error=0.04534693096567105, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.29092195703616824)",
+    'log/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.35459845976867466, std_error=0.2963823669323207, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261981)",
+    'log/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.29027156092659856, std_error=0.0348822585480317, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
+    'log/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.6690983261948728, std_error=0.3280109714238726, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
     'log/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.2213928294644391, std_error=0.024915277797356625, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
     'log/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.702886220287633, std_error=0.37244707907272845, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
     'log/k_function/t=-0.3': '0.0008054095098456609',
@@ -225,10 +225,10 @@ EXPECTED = {
     'mp_beta1.8/describe': "'ModifiedPareto(alpha=1.5, beta=1.8, A=0.8181818181818182, B=0.8181818181818182)'",
     'mp_beta1.8/discrepancy_l1/N=50.0': '0.9213786807140458',
     'mp_beta1.8/discrepancy_l1/N=inf': 'DomainError',
-    'mp_beta1.8/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0197055263187349, std_error=0.08305934230354525, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.2909219570361677)",
-    'mp_beta1.8/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.1697329876285536, std_error=0.1719180618114457, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261995)",
-    'mp_beta1.8/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.3106274833549026, std_error=0.03601178305801487, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
-    'mp_beta1.8/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.4842328540547531, std_error=0.18886053264563119, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
+    'mp_beta1.8/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.01970552631873207, std_error=0.08305934230354643, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.29092195703616824)",
+    'mp_beta1.8/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.1697329876285562, std_error=0.171918061811445, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261981)",
+    'mp_beta1.8/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.3106274833549003, std_error=0.036011783058014814, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
+    'mp_beta1.8/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.4842328540547543, std_error=0.18886053264563102, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
     'mp_beta1.8/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.2638056730179643, std_error=0.03243218601459777, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
     'mp_beta1.8/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.4979462143771979, std_error=0.2282774408367786, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
     'mp_beta1.8/k_function/t=-0.3': '0.001031792029203764',
@@ -247,10 +247,10 @@ EXPECTED = {
     'mp_beta2/describe': "'ModifiedPareto(alpha=1.5, beta=2.0, A=0.8571428571428571, B=0.8571428571428571)'",
     'mp_beta2/discrepancy_l1/N=50.0': '0.38069178944453136',
     'mp_beta2/discrepancy_l1/N=inf': 'DomainError',
-    'mp_beta2/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0, std_error=0.0, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.2909219570361677)",
-    'mp_beta2/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.06548760980350621, std_error=0.10943082012880752, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261995)",
-    'mp_beta2/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.22246638386863254, std_error=0.03392626890816451, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
-    'mp_beta2/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3799874762297057, std_error=0.18320107616954548, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
+    'mp_beta2/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0, std_error=0.0, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.29092195703616824)",
+    'mp_beta2/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.0654876098035087, std_error=0.10943082012880737, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261981)",
+    'mp_beta2/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.22246638386863002, std_error=0.03392626890816461, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
+    'mp_beta2/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3799874762297068, std_error=0.18320107616954392, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
     'mp_beta2/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.19406162991658932, std_error=0.0343514581946863, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
     'mp_beta2/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3867244595887578, std_error=0.2239566436446689, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
     'mp_beta2/k_function/t=-0.3': '0.0009080986510125834',
@@ -269,10 +269,10 @@ EXPECTED = {
     'mp_beta4/describe': "'ModifiedPareto(alpha=1.5, beta=4.0, A=1.0909090909090908, B=1.0909090909090908)'",
     'mp_beta4/discrepancy_l1/N=50.0': '0.08164338342994998',
     'mp_beta4/discrepancy_l1/N=inf': '0.08164338372323822',
-    'mp_beta4/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0, std_error=0.025410760286717324, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.2909219570361677)",
-    'mp_beta4/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.048151499320734314, std_error=0.10049795943428139, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261995)",
-    'mp_beta4/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.26135123416254147, std_error=0.04581020336054476, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
-    'mp_beta4/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3626513657469338, std_error=0.1704211730602955, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
+    'mp_beta4/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0, std_error=0.025410760286717966, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.29092195703616824)",
+    'mp_beta4/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.04815149932073681, std_error=0.10049795943428134, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261981)",
+    'mp_beta4/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.2613512341625388, std_error=0.0458102033605449, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
+    'mp_beta4/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3626513657469349, std_error=0.17042117306029375, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
     'mp_beta4/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.24588772738233228, std_error=0.03417547076716353, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
     'mp_beta4/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3540118068720703, std_error=0.22294652092658424, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
     'mp_beta4/k_function/t=-0.3': '0.0008249433883961264',
@@ -291,14 +291,14 @@ EXPECTED = {
     'pareto/describe': "'Pareto(alpha=1.5)'",
     'pareto/discrepancy_l1/N=50.0': '0.05873677309932276',
     'pareto/discrepancy_l1/N=inf': '0.05873677309932276',
-    'pareto/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0, std_error=0.03660959432663759, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.2909219570361677)",
-    'pareto/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.05125481365883999, std_error=0.10252169920142201, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261995)",
-    'pareto/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.2692052255098983, std_error=0.04655454325468758, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
-    'pareto/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3657546800850395, std_error=0.17043149435044436, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
+    'pareto/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0, std_error=0.036609594326638156, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.29092195703616824)",
+    'pareto/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.051254813658842546, std_error=0.10252169920142196, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261981)",
+    'pareto/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.2692052255098956, std_error=0.046554543254687726, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
+    'pareto/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.36575468008504064, std_error=0.17043149435044258, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
     'pareto/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.25249848005658243, std_error=0.03403320947638641, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
     'pareto/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3540245451448456, std_error=0.22293785628841817, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
-    'pareto/fit_rate/bias_corrected': "RateFit(slope=-0.6549522623930619, intercept=-0.07283667142630405, per_n=(EmpiricalW1Result(estimate=0.05256101868522442, std_error=0.09367414659724108, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.2141574609714705), EmpiricalW1Result(estimate=0.0, std_error=0.01723877267893639, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.2141574609714705), EmpiricalW1Result(estimate=0.00655992041823214, std_error=0.04144370522377979, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.2141574609714705), EmpiricalW1Result(estimate=0.0063164157528499965, std_error=0.045255468730986875, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.2141574609714705)), n_values=(100, 316, 1000, 3162), dropped=((316, 'non-positive corrected estimate'),), residuals=(0.14322277982862186, -0.4296901880135051, 0.2864674081848859))",
-    'pareto/fit_rate/one_sample_quantile': "RateFit(slope=-0.04300056939684315, intercept=-1.2105466922865447, per_n=(EmpiricalW1Result(estimate=0.26671847965669493, std_error=0.0789923001148126, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0), EmpiricalW1Result(estimate=0.2045629873531258, std_error=0.03681133248183623, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0), EmpiricalW1Result(estimate=0.22071738138970265, std_error=0.04004225730781356, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0), EmpiricalW1Result(estimate=0.2204738767243205, std_error=0.04003470592357237, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)), n_values=(100, 316, 1000, 3162), dropped=(), residuals=(0.08701007231013524, -0.12883245953460043, -0.0032881105532751587, 0.04511049777774123))",
+    'pareto/fit_rate/bias_corrected': "RateFit(slope=-0.6549522623930412, intercept=-0.07283667142644103, per_n=(EmpiricalW1Result(estimate=0.052561018685222116, std_error=0.09367414659724362, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.2141574609714717), EmpiricalW1Result(estimate=0.0, std_error=0.017238772678936323, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.2141574609714717), EmpiricalW1Result(estimate=0.0065599204182322235, std_error=0.041443705223779555, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.2141574609714717), EmpiricalW1Result(estimate=0.006316415752850163, std_error=0.04525546873098453, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.2141574609714717)), n_values=(100, 316, 1000, 3162), dropped=((316, 'non-positive corrected estimate'),), residuals=(0.14322277982862008, -0.4296901880134998, 0.2864674081848806))",
+    'pareto/fit_rate/one_sample_quantile': "RateFit(slope=-0.043000569396839855, intercept=-1.2105466922865638, per_n=(EmpiricalW1Result(estimate=0.2667184796566938, std_error=0.07899230011481426, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0), EmpiricalW1Result(estimate=0.20456298735312564, std_error=0.03681133248183617, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0), EmpiricalW1Result(estimate=0.22071738138970393, std_error=0.040042257307812856, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0), EmpiricalW1Result(estimate=0.22047387672432187, std_error=0.04003470592357235, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)), n_values=(100, 316, 1000, 3162), dropped=(), residuals=(0.0870100723101348, -0.12883245953460132, -0.0032881105532729382, 0.04511049777774012))",
     'pareto/fit_rate/two_sample': "RateFit(slope=-0.1072250201390752, intercept=-0.7559311486505152, per_n=(EmpiricalW1Result(estimate=0.2904460400796812, std_error=0.08218200088256086, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0), EmpiricalW1Result(estimate=0.24417293134313448, std_error=0.052375975547668416, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0), EmpiricalW1Result(estimate=0.23150233842091658, std_error=0.04653987821273689, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0), EmpiricalW1Result(estimate=0.19591024819689923, std_error=0.04592445830668907, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)), n_values=(100, 316, 1000, 3162), dropped=(), residuals=(0.013383146208576502, -0.03678784629244691, 0.03345004321857892, -0.010045343134709395))",
     'pareto/k_function/t=-0.3': '0.0008249298131691637',
     'pareto/k_function/t=0.01': '0.005716515588598575',

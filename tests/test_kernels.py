@@ -18,7 +18,6 @@ from stable_stein.kernels import (
     Pareto,
     discrepancy_l1,
     k_function,
-    k_function_mc,
     kernel_profile,
     solve_log_tail_scale,
     stable_kernel,
@@ -26,6 +25,8 @@ from stable_stein.kernels import (
     tail_first_moment,
 )
 from stable_stein.special import d_alpha
+
+from kernel_oracle import k_function_mc
 
 
 def equal_weight_mp(alpha, beta):
