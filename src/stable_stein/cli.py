@@ -309,8 +309,6 @@ def cmd_density(args):
 
 
 def cmd_an_solver(args):
-    if args.K0 is None or args.x0 is None:
-        raise DomainError("an-solver requires --K0 and --x0")
     beta = args.beta if args.beta is not None else 0.0
     sol = bnd.log_example_A_n(args.K0, args.x0, args.alpha, beta, int(args.n))
     obj = {"A_n": sol.value, "residual": sol.residual,
@@ -411,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("an-solver", help="norming threshold of the log-tailed family")
     p.add_argument("--alpha", type=float, default=1.5)
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--K0", type=float, default=None)
-    p.add_argument("--x0", type=float, default=None)
+    p.add_argument("--K0", type=float, required=True)
+    p.add_argument("--x0", type=float, required=True)
     p.add_argument("--n", type=_parse_count, default=10 ** 6)
     _add_common(p, formats=("json",))
 

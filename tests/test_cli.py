@@ -288,6 +288,15 @@ class TestUsageErrors:
             self.assert_usage_error(r, flag)
         assert "CONFIG {" not in r.stderr
 
+    @pytest.mark.parametrize("argv,missing", [
+        (("an-solver", "--K0", "2"), "--x0"),
+        (("an-solver", "--x0", "3", "--beta", "1"), "--K0"),
+    ])
+    def test_an_solver_flag_it_needs(self, argv, missing):
+        r = run_cli(*argv)
+        self.assert_usage_error(r, missing)
+        assert "CONFIG {" not in r.stderr
+
     @pytest.mark.parametrize("argv", [
         ("--spec", "pareto"),
         ("--spec", "modified-pareto", "--beta", "4", "--A", "0.75", "--B", "2"),
@@ -446,7 +455,7 @@ def run_fresh(code):
 
 
 class TestScipyFreeStartup:
-    """scipy is imported on first use, not when the package is imported."""
+    """No command loads scipy: the package runs on its own ports."""
 
     # the commands that integrate, root-find, minimize or interpolate nothing
     LIGHT_COMMANDS = [
@@ -516,7 +525,52 @@ class TestScipyFreeStartup:
         assert len(report) == 1 + len(self.MONTE_CARLO_COMMANDS)
         assert report == {step: [0, []] for step in report}
 
-    def test_first_import_inside_worker_threads(self):
+    # the commands that integrate or root-find: bounds at a finite truncation
+    # level, the optimal-gamma figure and a Hall rate fit
+    QUADRATURE_COMMANDS = [
+        ["bound", "--spec", "hall", "--A", "0.6", "--c", "0.2", "--alpha", "1.5",
+         "--gamma", "0.5", "--n", "1000000"],
+        ["bound", "--spec", "log-pareto", "--beta", "1", "--x0", "5", "--alpha", "1.5",
+         "--gamma", "0.5", "--n", "1000000"],
+        ["bound", "--spec", "modified-pareto", "--beta", "1.8", "--alpha", "1.5",
+         "--gamma", "0.5", "--n", "1000000"],
+        ["bound", "--spec", "pareto", "--alpha", "1.5", "--gamma", "0.5", "--n", "1000000",
+         "--N", "1000"],
+        ["figure1", "--n", "1000"],
+        ["rate-fit", "--spec", "hall", "--A", "0.6", "--c", "0.2", "--alpha", "1.5",
+         "--n-grid", "100,200,400,800", "--m", "300", "--format", "csv"],
+    ]
+
+    def test_every_command_loads_no_scipy(self):
+        commands = self.LIGHT_COMMANDS + self.MONTE_CARLO_COMMANDS + self.QUADRATURE_COMMANDS
+        r = run_fresh(f"""
+            import contextlib, io, json, sys
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+            import stable_stein
+            import stable_stein.cli
+            report = {{}}
+            for argv in {commands!r}:
+                with contextlib.redirect_stdout(io.StringIO()), \\
+                        contextlib.redirect_stderr(io.StringIO()):
+                    rc = stable_stein.cli.main(argv)
+                report[" ".join(argv)] = [rc, scipy_modules()]
+            law = stable_stein.StableLaw(1.5)
+            stable_stein.quantile(law, 0.3), stable_stein.quantile(law, 0.999)
+            report["quantile"] = [0, scipy_modules()]
+            print(json.dumps(report))
+        """)
+        assert r.returncode == 0, r.stderr
+        report = json.loads(r.stdout)
+        assert {argv.split()[0] for argv in report} == {
+            "constants", "table3", "figure1", "bound", "rate-order", "simulate",
+            "rate-fit", "density", "an-solver", "quantile"}
+        assert len(report) == len(commands) + 1
+        assert report == {step: [0, []] for step in report}
+
+    def test_threaded_figure_matches_serial_without_scipy(self):
         r = run_fresh("""
             import json, sys
             from stable_stein.bounds import figure_gamma_curves
@@ -528,7 +582,7 @@ class TestScipyFreeStartup:
                               "scipy": "scipy" in sys.modules}))
         """)
         assert r.returncode == 0, r.stderr
-        assert json.loads(r.stdout) == {"same": True, "rows": 3, "scipy": True}
+        assert json.loads(r.stdout) == {"same": True, "rows": 3, "scipy": False}
 
 
 class TestInProcessMain:

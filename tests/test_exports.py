@@ -1,7 +1,10 @@
-"""Every exported name resolves: each module's ``__all__`` and the package."""
+"""Every exported name resolves: each module's ``__all__`` and the package;
+and no module of the package imports scipy."""
 
+import ast
 import importlib
 import re
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +29,21 @@ def test_package_namespace_resolves():
         for attr in module.__all__:
             if hasattr(stable_stein, attr):
                 assert getattr(stable_stein, attr) is getattr(module, attr)
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test-only dependency: the fresh-interpreter start-up tests
+    # run the commands, this catches an import on a path they do not reach
+    src = Path(stable_stein.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert len(list(src.glob("*.py"))) >= 10 and found == []
