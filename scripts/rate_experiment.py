@@ -17,7 +17,6 @@ import time
 import numpy as np
 
 from stable_stein.bounds import optimize_gamma
-from stable_stein.density import StableLaw
 from stable_stein.kernels import Pareto
 from stable_stein.sampling import _one_fit, _sample_sums, empirical_w1
 
@@ -34,7 +33,6 @@ def main() -> int:
     args = ap.parse_args()
 
     spec = Pareto(args.alpha)
-    law = StableLaw(args.alpha)
     grid = [int(v) for v in args.n_grid.split(",")]
     lines = ["n,m,estimator,w1,std_error,bias_floor,bound_total,seed"]
     t0 = time.time()
@@ -46,7 +44,7 @@ def main() -> int:
         for n, batch in zip(grid, batches):
             _, bound = optimize_gamma(spec, args.alpha, n, math.inf)
             for estimator in ESTIMATORS:
-                r = empirical_w1(batch, law, estimator)
+                r = empirical_w1(batch, estimator)
                 lines.append(",".join([
                     str(n), str(args.m), r.estimator, f"{r.estimate:.8g}",
                     f"{r.std_error:.8g}", f"{r.bias_floor_estimate:.8g}",

@@ -4,14 +4,16 @@ Public surface:
 
 * constants: ``gamma_fn``, ``beta_fn``, ``d_alpha``, ``D_alpha``,
   ``D_alpha_gamma``
-* target law: ``StableLaw``; ``density``, ``density_deriv``, ``cdf`` and
-  ``quantile`` of it; heat-kernel bound checks
+* target law: ``StableLaw``, the symmetric alpha-stable law with
+  characteristic function exp(-|l|^alpha) at unit scale; ``density``,
+  ``density_deriv``, ``cdf`` and ``quantile`` of it; heat-kernel bound checks
 * summand laws: ``Pareto``, ``ModifiedPareto``, ``HallTransform``,
   ``LogPerturbedPareto``, ``GeneralTail``; kernels and the L1 discrepancy
 * bounds: ``bound_main``, ``bound_mthm2``, ``example2_bound``,
   ``rate_order``, ``optimize_gamma``, ``log_example_A_n``, table generators
 * simulation: ``sample_sum``, ``sample_stable``, ``empirical_w1``,
-  ``fit_rate``
+  ``fit_rate``; the STABLE_STEIN_THREADS environment variable sets their
+  thread count, which changes no result
 """
 
 from .bounds import (
@@ -54,7 +56,6 @@ from .kernels import (
     Pareto,
     discrepancy_l1,
     k_function,
-    kernel_profile,
     stable_kernel,
     stable_kernel_mass,
 )

@@ -54,6 +54,7 @@ from .kernels import (
     Pareto,
     RateOrder,
     ThresholdSolution,
+    _count,
     abs_tail_moment_zeta,
     check_spec_alpha,
     discrepancy_l1,
@@ -145,12 +146,11 @@ class Example2Report(SteinBoundReport):
 # helpers
 # ---------------------------------------------------------------------------
 
-def _validate_bound_args(alpha, gamma, n, N, alpha_limits):
+def _validate_bound_args(alpha, gamma, n, N, alpha_limits=DEFAULT_ALPHA_LIMITS):
     check_alpha_window(alpha, alpha_limits)
     if not (0.0 < gamma < 1.0):
         raise DomainError(f"gamma must lie in (0, 1), got {gamma}")
-    if n < 1 or int(n) != n:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    _count("n", n)
     if not (N > 0.0):
         raise DomainError(f"N must be positive (or inf), got {N}")
 
@@ -172,15 +172,13 @@ def default_truncation(spec: DistributionSpec, n: int):
 # ---------------------------------------------------------------------------
 
 def _assemble(spec: DistributionSpec, alpha: float, n: int, N: float, gamma: float,
-              truncation, target_scale: float, alpha_limits) -> SteinBoundReport:
+              truncation, alpha_limits=DEFAULT_ALPHA_LIMITS) -> SteinBoundReport:
     """The bound whose truncation term at finite N is
     ``truncation(spec, alpha, n, N, n_term)``.
 
     The rule runs before the discrepancy and the gamma term, so a law it
     rejects costs none of their quadrature.  At N = inf, where the law
     admits it, the truncation and N terms take their limit 0.
-    ``target_scale`` sigma scales every term and the total by
-    sigma^{1/alpha}, the bound for the sigma-scaled target.
     """
     check_spec_alpha(spec, alpha)
     _validate_bound_args(alpha, gamma, n, N, alpha_limits)
@@ -200,9 +198,6 @@ def _assemble(spec: DistributionSpec, alpha: float, n: int, N: float, gamma: flo
     gam = D_alpha_gamma(alpha, gamma) * spec.ell(n) ** (-gamma / alpha) * \
         spec.abs_central_moment(gamma)
     total = D_alpha(alpha) * disc + trunc + n_term + gam
-    factor = target_scale ** (1.0 / alpha)
-    if factor != 1.0:
-        disc, trunc, n_term, gam, total = (v * factor for v in (disc, trunc, n_term, gam, total))
     rate = spec.rate_order()
     return SteinBoundReport(
         alpha=alpha, gamma=gamma, n=int(n), N=N,
@@ -266,21 +261,17 @@ def _tail_model_truncation(spec, alpha, n, N, n_term):
 
 
 def bound_main(spec: DistributionSpec, alpha: float, n: int, N: float, gamma: float,
-               *, target_scale: float = 1.0,
-               alpha_limits=DEFAULT_ALPHA_LIMITS) -> SteinBoundReport:
+               *, alpha_limits=DEFAULT_ALPHA_LIMITS) -> SteinBoundReport:
     """First assembly: exact per-law truncation accounting.
 
     N may be inf when the law supports it (every term then takes its
-    analytic limit).  ``target_scale`` sigma reports the bound for the
-    sigma-scaled target, which is sigma^{1/alpha} times the unit bound.
+    analytic limit).
     """
-    return _assemble(spec, alpha, n, N, gamma, _exact_truncation,
-                     target_scale, alpha_limits)
+    return _assemble(spec, alpha, n, N, gamma, _exact_truncation, alpha_limits)
 
 
-def bound_mthm2(spec: DistributionSpec, alpha: float, n: int, N: float, gamma: float,
-                *, target_scale: float = 1.0,
-                alpha_limits=DEFAULT_ALPHA_LIMITS) -> SteinBoundReport:
+def bound_mthm2(spec: DistributionSpec, alpha: float, n: int, N: float,
+                gamma: float) -> SteinBoundReport:
     """Second assembly: remainder written through the law's tail model.
 
     Reads ``theta``, ``m2``, ``mean`` and ``ell`` from the law; a tail model
@@ -288,8 +279,7 @@ def bound_mthm2(spec: DistributionSpec, alpha: float, n: int, N: float, gamma: f
     rather than equals, the exact truncated expectation, so it is slightly
     larger than the first assembly's at finite N; both agree at N = inf.
     """
-    return _assemble(spec, alpha, n, N, gamma, _tail_model_truncation,
-                     target_scale, alpha_limits)
+    return _assemble(spec, alpha, n, N, gamma, _tail_model_truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +324,9 @@ def bound_total_slope(spec: DistributionSpec, alpha: float, n_grid: Sequence[int
 # closed Pareto bound and tables
 # ---------------------------------------------------------------------------
 
-def pareto_bound_closed(alpha: float, gamma: float, n: int,
-                        alpha_limits=DEFAULT_ALPHA_LIMITS) -> float:
+def pareto_bound_closed(alpha: float, gamma: float, n: int) -> float:
     """Closed-form total for the plain power law at N = inf."""
-    _validate_bound_args(alpha, gamma, n, math.inf, alpha_limits)
+    _validate_bound_args(alpha, gamma, n, math.inf)
     da = d_alpha(alpha)
     lead = D_alpha(alpha) / (2.0 - alpha) * (2.0 * da / alpha) ** (2.0 / alpha) * \
         float(n) ** (-(2.0 - alpha) / alpha)
@@ -375,14 +364,13 @@ def pareto_bound_table(n: int, alphas: Sequence[float], gammas: Sequence[float],
 # ---------------------------------------------------------------------------
 
 def example2_bound(A: float, B: float, alpha: float, beta: float, gamma: float,
-                   n: int, N="auto", *, alpha_limits=DEFAULT_ALPHA_LIMITS) -> Example2Report:
+                   n: int) -> Example2Report:
     """Bound for the two-term power family with the case-split bookkeeping.
 
     Case 1 (beta > 2): N = inf; case 2 (beta = 2): N = ell^q with
     q = (2-alpha)/(alpha(alpha-1)); case 3 (alpha < beta < 2): N = ell^q with
-    q = (beta-alpha)/(alpha(alpha+1-beta)).  ``N`` may override the choice.
-    leading_term + remainder_term regroups the same total as displayed in
-    the per-case closed forms.
+    q = (beta-alpha)/(alpha(alpha+1-beta)).  leading_term + remainder_term
+    regroups the same total as displayed in the per-case closed forms.
     """
     if beta <= alpha:
         raise DomainError(f"two-term family requires beta > alpha, got beta={beta}")
@@ -391,26 +379,19 @@ def example2_bound(A: float, B: float, alpha: float, beta: float, gamma: float,
     Da = D_alpha(alpha)
     ell = spec.ell(n)
     case, q = spec.truncation_case()
-    auto = N == "auto"
-    if auto:
-        n_used = math.inf if case == 1 else ell ** q
-    else:
-        n_used = N
-    base = bound_mthm2(spec, alpha, n, n_used, gamma, alpha_limits=alpha_limits)
-    if case == 1 and (auto or math.isinf(n_used)):
+    base = bound_mthm2(spec, alpha, n, math.inf if case == 1 else ell ** q, gamma)
+    if case == 1:
         leading = (2.0 * da * Da / alpha) * (
             1.0 / (2.0 - alpha) + B / (A * (beta - 2.0))
         ) * ell ** (-(2.0 - alpha) / alpha)
-    elif case == 2 and auto:
+    elif case == 2:
         leading = (2.0 * da * Da * B * (alpha * q + 1.0) / (alpha ** 2 * A)) * \
             ell ** (-(2.0 - alpha) / alpha) * math.log(ell)
-    elif case == 3 and auto:
+    else:
         e_star = (beta - alpha) * (alpha - 1.0) / (alpha * (alpha + 1.0 - beta))
         leading = 2.0 * da * (
             Da * B / (A * (2.0 - beta) * alpha) + 2.0 * (alpha + 1.0) / (alpha - 1.0)
         ) * ell ** (-e_star)
-    else:
-        leading = Da * base.discrepancy_term
     return Example2Report(**asdict(base), case=case, q_exponent=q, leading_term=leading,
                           remainder_term=base.total - leading)
 
@@ -491,13 +472,11 @@ def _holder_scan(alpha: float) -> tuple:
 
 
 def optimize_gamma(spec: DistributionSpec, alpha: float, n: int, N,
-                   gamma_grid: Optional[Sequence[float]] = None,
                    *, alpha_limits=DEFAULT_ALPHA_LIMITS):
-    """Minimize the bound total over gamma; ties break to the smallest gamma.
+    """Minimize the bound total over gamma.
 
-    With ``gamma_grid`` the search is restricted to the given values.
-    Otherwise a 99-point scan locates the basin and a bounded scalar
-    minimization refines it (the scan guards against spurious local minima).
+    A 99-point scan locates the basin and a bounded scalar minimization
+    refines it (the scan guards against spurious local minima).
     The scan's Holder constants depend on alpha alone and are memoized per
     float(alpha) (a bounded, thread-safe ``functools.lru_cache``).
     Returns (gamma_star, total_star).
@@ -515,11 +494,6 @@ def optimize_gamma(spec: DistributionSpec, alpha: float, n: int, N,
             holder = D_alpha_gamma(alpha, g)
         return fixed + holder * ell_pow ** g * spec.abs_central_moment(g)
 
-    if gamma_grid is not None:
-        pairs = [(float(g), total(float(g))) for g in gamma_grid]
-        t_min = min(v for _, v in pairs)
-        g_min = min(g for g, v in pairs if v == t_min)
-        return g_min, t_min
     grid = _GAMMA_SCAN
     values = [total(g, d) for g, d in zip(grid.tolist(), _holder_scan(float(alpha)))]
     idx = int(np.argmin(values))
@@ -550,8 +524,7 @@ FIGURE_CASES = (
 )
 
 
-def figure_gamma_curves(n: int = 10 ** 6, alphas: Optional[Sequence[float]] = None,
-                        threads: Optional[int] = None) -> list:
+def figure_gamma_curves(n: int = 10 ** 6, alphas: Optional[Sequence[float]] = None) -> list:
     """Rows (alpha, gamma*_case1..4): optimal gamma for the four reference
     configurations, alpha on the grid 1 + j/100, j = 1..99 by default."""
     from concurrent.futures import ThreadPoolExecutor
@@ -569,7 +542,7 @@ def figure_gamma_curves(n: int = 10 ** 6, alphas: Optional[Sequence[float]] = No
             out.append(g_star)
         return tuple(out)
 
-    workers = resolve_threads(threads)
+    workers = resolve_threads()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one_row, alphas))

@@ -267,7 +267,7 @@ def cmd_simulate(args):
     spec = build_spec(args)
     print(f"simulating n={int(args.n)} m={int(args.m)} ...", file=sys.stderr)
     batch = smp.sample_sum(spec, args.n, args.m, args.seed)
-    res = smp.empirical_w1(batch, StableLaw(args.alpha), args.estimator)
+    res = smp.empirical_w1(batch, args.estimator)
     return [_SIM_HEADER, _sim_row(spec, args.alpha, batch.n, res, args.seed)]
 
 

@@ -8,9 +8,6 @@ density, derivatives and CDF are recovered by Fourier inversion:
     p''(x) = -I_2(x) / pi
     F(x)   = 1/2 + (1/pi) int_0^inf e^{-l^alpha} sin(l x) / l dl
 
-A scale sigma means characteristic function exp(-sigma |lambda|^alpha); its
-density follows from the self-similarity p(t, x) = t^{-1/alpha} p(1, t^{-1/alpha} x).
-
 Quadrature strategy: truncate at lambda_max = (-ln eps)^{1/alpha} with
 eps = 1e-18, align panels to half-periods of the trigonometric factor for
 large |x|, and refine dyadically toward lambda = 0 where e^{-l^alpha} has
@@ -18,11 +15,14 @@ unbounded higher derivatives (and l^theta may be singular for theta < 0).
 The innermost stub is integrated from the local power-law expansion.
 The quantile table takes its tail knots (x > 8) from the asymptotic tail
 series of F instead, and falls back to quadrature only where the series
-cannot give F to the last bit (alpha near 2, x near 8).
+cannot give F to the last bit (alpha near 2, x near 8).  Beyond |x| = 2000
+the density and its derivatives come from the term-wise derivatives of the
+same series, so their cost does not grow with |x|.
 
-Pure evaluation is thread-safe.  The quantile cache is built once per
-(alpha, scale) and is read-only afterwards, apart from its memo of
-quantiles at cell nodes (see ``QuantileTable.cell_quantiles``).
+The law is the paper's target at unit scale; there is no scale parameter.
+Pure evaluation is thread-safe.  The quantile cache is built once per alpha
+and is read-only afterwards, apart from its memo of quantiles at cell nodes
+(see ``QuantileTable.cell_quantiles``).
 """
 
 from __future__ import annotations
@@ -54,8 +54,9 @@ __all__ = [
 
 _EPS_TRUNC = 1e-18
 _LOG_EPS = -math.log(_EPS_TRUNC)
-# direct CDF quadrature is used up to this |x|; beyond, the power tail
-# F_bar(x) ~ (d_alpha/alpha) x^{-alpha} is accurate to ~1e-9 absolute
+# direct quadrature is used up to this |x|; beyond, the CDF takes the power
+# tail F_bar(x) ~ (d_alpha/alpha) x^{-alpha}, accurate to ~1e-9 absolute, and
+# the density and its derivatives the tail series (``_tail_density``)
 _TAIL_SWITCH = 2000.0
 # the tail series stands in for quadrature where its smallest term is at most
 # this: far below half an ulp of F near 1
@@ -64,29 +65,13 @@ _SERIES_TOL = 1e-17
 
 @dataclass(frozen=True)
 class StableLaw:
-    """Symmetric alpha-stable law with characteristic function e^{-scale |l|^alpha}."""
+    """Symmetric alpha-stable law with characteristic function e^{-|l|^alpha}."""
 
     alpha: float
-    scale: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 2.0):
             raise DomainError(f"StableLaw requires alpha in (0, 2), got {self.alpha}")
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise DomainError(f"StableLaw requires scale > 0, got {self.scale}")
-
-    @property
-    def sigma_root(self) -> float:
-        """scale^(1/alpha); multiplies unit-scale quantiles and samples."""
-        return self.scale ** (1.0 / self.alpha)
-
-    @property
-    def tail_coefficient(self) -> float:
-        """c with P(X > x) ~ c x^{-alpha}; equals scale * d_alpha / alpha."""
-        return self.scale * d_alpha(self.alpha) / self.alpha
-
-    def char_function(self, lam):
-        return np.exp(-self.scale * np.abs(lam) ** self.alpha)
 
 
 def _lambda_max(alpha: float) -> float:
@@ -166,14 +151,20 @@ def osc_integral_J(theta: float, x: float, alpha: float) -> float:
 
 
 def _density1(x: float, alpha: float) -> float:
+    if abs(x) > _TAIL_SWITCH:
+        return _tail_density(x, alpha, 0)
     return _fourier_integral(0.0, abs(x), alpha, "cos") / math.pi
 
 
 def _density1_d1(x: float, alpha: float) -> float:
+    if abs(x) > _TAIL_SWITCH:
+        return _tail_density(x, alpha, 1)
     return -_fourier_integral(1.0, x, alpha, "sin") / math.pi
 
 
 def _density1_d2(x: float, alpha: float) -> float:
+    if abs(x) > _TAIL_SWITCH:
+        return _tail_density(x, alpha, 2)
     return -_fourier_integral(2.0, abs(x), alpha, "cos") / math.pi
 
 
@@ -185,8 +176,8 @@ def _cdf1(x: float, alpha: float) -> float:
     return min(1.0, max(0.0, val))
 
 
-def _tail_series(x: float, alpha: float) -> float | None:
-    """Upper tail 1 - F(x) of the unit law from its asymptotic series, or None.
+def _tail_series(x: float, alpha: float, d: int = 0) -> float | None:
+    """Upper tail 1 - F(x) of the law from its asymptotic series, or None.
 
         F_bar(x) = (1/pi) sum_{k>=1} (-1)^{k+1} Gamma(alpha k)/k! sin(pi alpha k/2) x^{-alpha k}
 
@@ -196,13 +187,22 @@ def _tail_series(x: float, alpha: float) -> float | None:
     ``_SERIES_TOL`` / 1024, far under an ulp of F.  Returns None when the
     smallest size exceeds ``_SERIES_TOL``: then the series cannot give F to
     the last bit.
+
+    With d > 0 each term is differentiated d times and the sum is returned
+    without its common factor (-1)^d x^{-d}: term k gains the factor
+    (alpha k)(alpha k + 1)...(alpha k + d - 1), and so does its size.
     """
     lx = alpha * math.log(x)
+
+    def size_of(k: int) -> float:
+        raw = math.exp(math.lgamma(alpha * k) - math.lgamma(k + 1) - k * lx) / math.pi
+        return raw * math.prod(alpha * k + j for j in range(d))
+
     total = 0.0
     k = 1
-    size = math.exp(math.lgamma(alpha) - lx) / math.pi
+    size = size_of(1)
     while size > _SERIES_TOL * 2.0 ** -10:
-        nxt = math.exp(math.lgamma(alpha * (k + 1)) - math.lgamma(k + 2) - (k + 1) * lx) / math.pi
+        nxt = size_of(k + 1)
         if nxt >= size:
             return None if size > _SERIES_TOL else total
         total += (size if k % 2 else -size) * math.sin(0.5 * math.pi * alpha * k)
@@ -211,26 +211,35 @@ def _tail_series(x: float, alpha: float) -> float | None:
     return total
 
 
+def _tail_density(x: float, alpha: float, order: int) -> float:
+    """p, p' or p'' (order 0, 1, 2) at |x| > ``_TAIL_SWITCH``, from
+    p^(order) = -F_bar^(order + 1) and the symmetry of p.
+
+    There the series always reaches its tolerance, so the work does not
+    grow with |x|; the value underflows to 0 far out and is 0 at +-inf.
+    """
+    xa = abs(x)
+    val = _tail_series(xa, alpha, order + 1) * xa ** -(order + 1)
+    return -val if order == 1 and x > 0 else val
+
+
 def density(law: StableLaw, x: float) -> float:
     """Density of the law at x (positive, symmetric)."""
-    s = law.scale ** (-1.0 / law.alpha)
-    return s * _density1(s * x, law.alpha)
+    return _density1(x, law.alpha)
 
 
 def density_deriv(law: StableLaw, x: float, order: int) -> float:
     """First or second derivative of the density at x."""
     if order not in (1, 2):
         raise DomainError(f"density_deriv order must be 1 or 2, got {order}")
-    s = law.scale ** (-1.0 / law.alpha)
     if order == 1:
-        return s * s * _density1_d1(s * x, law.alpha)
-    return s * s * s * _density1_d2(s * x, law.alpha)
+        return _density1_d1(x, law.alpha)
+    return _density1_d2(x, law.alpha)
 
 
 def cdf(law: StableLaw, x: float) -> float:
     """Distribution function of the law at x."""
-    s = law.scale ** (-1.0 / law.alpha)
-    return _cdf1(s * x, law.alpha)
+    return _cdf1(x, law.alpha)
 
 
 def quantile(law: StableLaw, u: float) -> float:
@@ -259,7 +268,6 @@ def quantile(law: StableLaw, u: float) -> float:
         if p <= 0.0:
             break
         x -= (_cdf1(x, alpha) - uu) / p
-    x *= law.sigma_root
     return -x if flip else x
 
 
@@ -401,12 +409,10 @@ class QuantileTable:
     cheap to evaluate on large arrays.
     """
 
-    def __init__(self, alpha: float, scale: float = 1.0):
-        law = StableLaw(alpha, scale)
+    def __init__(self, alpha: float):
+        StableLaw(alpha)        # rejects an alpha outside (0, 2)
         self.alpha = alpha
-        self.scale = scale
-        self.sigma_root = law.sigma_root
-        self.tail_c = d_alpha(alpha) / alpha  # unit-scale tail constant
+        self.tail_c = d_alpha(alpha) / alpha  # P(X > x) ~ tail_c x^{-alpha}
         core = np.arange(0.0, 8.0 + 0.02 / 2, 0.02)
         tail = np.geomspace(8.0 * 1.05, _TAIL_SWITCH, 260)
         xs = np.concatenate([core, tail])
@@ -429,7 +435,7 @@ class QuantileTable:
         x[inside] = self._inv(v[inside])
         out = ~inside
         x[out] = (self.tail_c / (1.0 - v[out])) ** (1.0 / self.alpha)
-        x = np.where(u >= 0.5, x, -x) * self.sigma_root
+        x = np.where(u >= 0.5, x, -x)
         return x if x.ndim else float(x)
 
     def _cell_quantiles(self, m: int):
@@ -462,14 +468,14 @@ _table_cache: dict = {}
 _table_lock = threading.Lock()
 
 
-def quantile_table(alpha: float, scale: float = 1.0) -> QuantileTable:
-    """Shared per-(alpha, scale) quantile cache (single writer, many readers)."""
-    key = (round(float(alpha), 12), round(float(scale), 12))
+def quantile_table(alpha: float) -> QuantileTable:
+    """Shared per-alpha quantile cache (single writer, many readers)."""
+    key = float(alpha)
     tab = _table_cache.get(key)
     if tab is None:
         with _table_lock:
             tab = _table_cache.get(key)
             if tab is None:
-                tab = QuantileTable(alpha, scale)
+                tab = QuantileTable(alpha)
                 _table_cache[key] = tab
     return tab

@@ -46,12 +46,9 @@ __all__ = [
     "stable_kernel_mass",
     "k_function",
     "discrepancy_l1",
-    "tail_first_moment",
     "abs_tail_moment_zeta",
     "solve_log_tail_scale",
     "ThresholdSolution",
-    "kernel_profile",
-    "write_kernel_profile_csv",
 ]
 
 
@@ -196,6 +193,16 @@ def _map_scalar(rule, x):
 def _check_alpha_12(alpha, who):
     if not (1.0 < alpha < 2.0):
         raise DomainError(f"{who} requires alpha in (1, 2), got {alpha}")
+
+
+def _count(name: str, value) -> int:
+    """A positive count given as an int or an integral float, as an int."""
+    try:
+        if value >= 1 and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{name} must be a positive integer, got {value!r}")
 
 
 def check_spec_alpha(spec: DistributionSpec, alpha: float) -> None:
@@ -775,18 +782,12 @@ def _one_sided_tail_moment(spec: DistributionSpec, sgn: float, root: float, mu: 
                                         points=_one_sided_kinks(spec, sgn, root, mu))
 
 
-def tail_first_moment(spec: DistributionSpec, t: float) -> float:
-    """E[xi 1{xi > t}] for t > 0 via the tail-integral identity."""
-    if not (t > 0.0):
-        raise DomainError(f"tail_first_moment requires t > 0, got {t}")
-    return _one_sided_tail_moment(spec, 1.0, 1.0, 0.0, t)
-
-
 def abs_tail_moment_zeta(spec: DistributionSpec, n: int, N: float) -> float:
     """E[|zeta| 1{|zeta| > N}] for one normalized summand zeta.
 
     zeta = ell^{-1/alpha}(xi - E xi); both signed tails enter.
     """
+    _count("n", n)
     root = spec.ell(n) ** (1.0 / spec.alpha)
     mu = spec.mean
     return sum(_one_sided_tail_moment(spec, sgn, root, mu, N) for sgn in (1.0, -1.0))
@@ -834,16 +835,16 @@ def k_function(spec: DistributionSpec, alpha: float, n: int, t, N: float,
     """Truncated K function of one normalized summand.
 
     A law with ``k1_power_terms`` has the closed form; anything else goes
-    through the tail-integral identity.  ``backend`` is "auto", "closed_form" or
-    "quadrature"; an explicitly requested closed form falls back to
-    quadrature when the law has none.
+    through the tail-integral identity.  ``backend`` is "auto" or
+    "quadrature", which forces the identity.
     """
     check_spec_alpha(spec, alpha)
+    _count("n", n)
     if not (N > 0.0):
         raise DomainError(f"k_function requires N > 0, got {N}")
-    if backend not in ("auto", "closed_form", "quadrature"):
+    if backend not in ("auto", "quadrature"):
         raise DomainError(f"unknown backend {backend!r}")
-    if backend in ("auto", "closed_form") and spec.k1_power_terms is not None:
+    if backend == "auto" and spec.k1_power_terms is not None:
         return _k_closed_two_term(spec, n, t, N)
     return _map_scalar(lambda tt: _k_quadrature(spec, n, tt, N), t)
 
@@ -964,21 +965,17 @@ def discrepancy_l1(spec: DistributionSpec, alpha: float, n: int, N: float,
     any law at finite N.
     """
     check_spec_alpha(spec, alpha)
-    if n < 1:
-        raise DomainError(f"discrepancy_l1 requires n >= 1, got {n}")
+    _count("n", n)
     if not (N > 0.0):
         raise DomainError(f"discrepancy_l1 requires N > 0, got {N}")
-    if backend not in ("auto", "closed_form", "quadrature"):
+    if backend not in ("auto", "quadrature"):
         raise DomainError(f"unknown backend {backend!r}")
-    if backend in ("auto", "closed_form"):
+    if backend == "auto":
         closed = spec.discrepancy_closed(n, N)
         if closed is not None:
             return closed
-        if backend == "closed_form" or math.isinf(N):
-            raise DomainError(
-                f"no closed-form discrepancy for {spec.describe()}"
-                + (" at N = inf" if math.isinf(N) else "")
-            )
+        if math.isinf(N):
+            raise DomainError(f"no closed-form discrepancy for {spec.describe()} at N = inf")
     return _discrepancy_quadrature(spec, n, N)
 
 
@@ -1001,8 +998,9 @@ def solve_log_tail_scale(K0: float, x0: float, alpha: float, beta: float,
     A <- (K0 n (log A)^beta)^{1/alpha} runs to relative step 1e-14 and the
     equation residual is verified; failure raises with the iterate trace.
     """
-    if K0 <= 0.0 or n < 1:
-        raise DomainError("solve_log_tail_scale requires K0 > 0 and n >= 1")
+    if K0 <= 0.0:
+        raise DomainError("solve_log_tail_scale requires K0 > 0")
+    _count("n", n)
     if not (0.0 < alpha < 2.0):
         raise DomainError(f"alpha must be in (0, 2), got {alpha}")
     floor = max(x0, math.e)
@@ -1030,35 +1028,3 @@ def solve_log_tail_scale(K0: float, x0: float, alpha: float, beta: float,
     if a <= floor:
         raise DomainError(f"n={n} too small: A_n={a:.4g} <= max(x0, e)")
     return ThresholdSolution(a, residual, tuple(trace))
-
-
-# ---------------------------------------------------------------------------
-# profile export
-# ---------------------------------------------------------------------------
-
-def kernel_profile(spec: DistributionSpec, n: int, N: float, t_grid):
-    """Rows (t, stable_kernel, k_function, abs_diff) for CSV export.
-
-    abs_diff is |Kal/n - K1/alpha|, the pointwise integrand of the
-    discrepancy.
-    """
-    alpha = spec.alpha
-    rows = []
-    for t in t_grid:
-        t = float(t)
-        kal = stable_kernel(alpha, t, N) if abs(t) <= N else 0.0
-        kf = float(k_function(spec, alpha, n, t, N)) if abs(t) <= N else 0.0
-        diff = abs(kal / n - kf / alpha) if math.isfinite(kal) else math.inf
-        rows.append((t, kal, kf, diff))
-    return rows
-
-
-def write_kernel_profile_csv(path, spec: DistributionSpec, n: int, N: float, t_grid):
-    """Write a kernel profile with header t,stable_kernel,k_function,abs_diff."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "stable_kernel", "k_function", "abs_diff"])
-        for row in kernel_profile(spec, n, N, t_grid):
-            w.writerow([f"{v:.10g}" for v in row])

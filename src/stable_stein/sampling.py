@@ -6,9 +6,14 @@ All randomness derives from the Philox4x64 counter-based generator.  A
 stream is addressed by (seed, kind, index): the 128-bit Philox key is
 [seed, (kind << 48) + index].  Replicate r of a batch always draws from
 (seed, SUMMANDS, r), so results are bit-identical for a given (seed, spec,
-n, m) regardless of how replicates are scheduled across threads.  Reference
-draws from the stable target use separate kinds, never colliding with
-summand streams.
+n, m) regardless of how replicates are scheduled across threads.  The
+thread count is read from the STABLE_STEIN_THREADS environment variable
+(default 1); it changes no result.  Reference draws from the stable target
+use separate kinds, never colliding with summand streams.
+
+The target is the paper's: the alpha-stable law with characteristic
+function e^{-|l|^alpha}, at unit scale, with alpha taken from the batch's
+summand law.
 
 The replicate loop does not build a generator per replicate: each worker
 owns one Philox and re-keys it (key as above, counter 0, empty buffer) for
@@ -65,9 +70,9 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .density import StableLaw, QuantileTable, quantile_table
+from .density import QuantileTable, quantile_table
 from .errors import DomainError, NonFiniteSampleError
-from .kernels import DistributionSpec, check_spec_alpha
+from .kernels import DistributionSpec, _count, check_spec_alpha
 
 __all__ = [
     "substream",
@@ -136,10 +141,8 @@ def _restream(seed: int, kind: int):
     return seek
 
 
-def resolve_threads(threads: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else the STABLE_STEIN_THREADS cap."""
-    if threads is not None:
-        return max(1, int(threads))
+def resolve_threads() -> int:
+    """Worker count: the STABLE_STEIN_THREADS cap, 1 when it is unset."""
     env = os.environ.get("STABLE_STEIN_THREADS", "")
     if env.strip():
         try:
@@ -236,18 +239,7 @@ def _compensated_row_sums(x: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(col) for col in np.column_stack(parts)])
 
 
-def _count(name: str, value) -> int:
-    """A positive count given as an int or an integral float, as an int."""
-    try:
-        if value >= 1 and int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise DomainError(f"{name} must be a positive integer, got {value!r}")
-
-
-def _sample_sums(spec: DistributionSpec, ns: Sequence[int], m: int, seed: int,
-                 threads: Optional[int] = None) -> list:
+def _sample_sums(spec: DistributionSpec, ns: Sequence[int], m: int, seed: int) -> list:
     """One SampleBatch per n of ns, all with the same m and seed.
 
     Replicate r draws from stream (seed, SUMMANDS, r).  A prefix-consistent
@@ -277,7 +269,7 @@ def _sample_sums(spec: DistributionSpec, ns: Sequence[int], m: int, seed: int,
                     n = ns[i]
                     outs[i][b0:b1] = scales[i] * (_compensated_row_sums(rows[:, :n]) - n * mu)
 
-    workers = resolve_threads(threads)
+    workers = resolve_threads()
     if workers > 1 and m >= 4 * workers:
         bounds_idx = np.linspace(0, m, workers + 1).astype(int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -299,8 +291,7 @@ def _sample_sums(spec: DistributionSpec, ns: Sequence[int], m: int, seed: int,
             for n, out in zip(ns, outs)]
 
 
-def sample_sum(spec: DistributionSpec, n: int, m: int, seed: int,
-               threads: Optional[int] = None) -> SampleBatch:
+def sample_sum(spec: DistributionSpec, n: int, m: int, seed: int) -> SampleBatch:
     """m independent realizations of S_n = ell^{-1/alpha} sum (xi_i - E xi).
 
     Replicate r draws its n summands from substream (seed, SUMMANDS, r);
@@ -308,7 +299,7 @@ def sample_sum(spec: DistributionSpec, n: int, m: int, seed: int,
     the output.  n and m are ints or integral floats; anything else raises
     DomainError before any draw.
     """
-    return _sample_sums(spec, [n], m, seed, threads)[0]
+    return _sample_sums(spec, [n], m, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -323,10 +314,10 @@ class EmpiricalW1Result:
     bias_floor_estimate: float = 0.0
 
 
-def _one_sample_value(sorted_vals: np.ndarray, table: QuantileTable,
-                      tail_c: float, alpha: float) -> float:
+def _one_sample_value(sorted_vals: np.ndarray, table: QuantileTable) -> float:
     """integral of |F_m^{-1}(u) - Q(u)| du for a sorted sample."""
     m = sorted_vals.size
+    alpha, tail_c = table.alpha, table.tail_c
     # a Gauss rule on the cells the table covers; the first and last cell
     # always go through the closed-form tail below
     i_lo, i_hi, q, w = table.cell_quantiles(m)
@@ -380,8 +371,7 @@ def _jackknifed(stat, blocks: np.ndarray) -> tuple:
     return stat(None), [stat(blocks != j) for j in range(_JACKKNIFE_K)]
 
 
-def _bias_floors(target: StableLaw, tab: QuantileTable, seed: int,
-                 blocks: np.ndarray) -> tuple:
+def _bias_floors(tab: QuantileTable, seed: int, blocks: np.ndarray) -> tuple:
     """The bias floor and its delete-one-block jackknife values.
 
     The floor is the one-sample statistic on independent samples of the
@@ -391,55 +381,47 @@ def _bias_floors(target: StableLaw, tab: QuantileTable, seed: int,
     where the mean would over-correct and clamp genuine signal to zero.
     """
     m = blocks.size
-    tail_c = target.tail_coefficient
-    samples = [
-        np.sort(target.sigma_root * sample_stable(target.alpha,
-                                                  substream(seed, STREAM_FLOOR_A, j), m))
-        for j in range(_FLOOR_BATCHES)
-    ]
+    samples = [np.sort(sample_stable(tab.alpha, substream(seed, STREAM_FLOOR_A, j), m))
+               for j in range(_FLOOR_BATCHES)]
     return _jackknifed(lambda keep: float(np.median([
-        _one_sample_value(f if keep is None else f[keep], tab, tail_c, target.alpha)
-        for f in samples
+        _one_sample_value(f if keep is None else f[keep], tab) for f in samples
     ])), blocks)
 
 
-def _check_w1_args(m: int, estimator: str, target: StableLaw, alpha: float) -> None:
+def _check_w1_args(m: int, estimator: str) -> None:
     if m < 100:
         raise DomainError(f"m = {m} is too small for a usable estimate (need >= 100)")
     if estimator not in ("one_sample_quantile", "two_sample", "bias_corrected"):
         raise DomainError(f"unknown estimator {estimator!r}")
-    if abs(target.alpha - alpha) > 1e-12:
-        raise DomainError("target alpha disagrees with the batch's summand law")
 
 
-def empirical_w1(batch: SampleBatch, target: StableLaw,
-                 estimator: str = "bias_corrected") -> EmpiricalW1Result:
-    """Empirical W1 distance between the batch and the stable target: the
-    estimator's statistic on every replicate, with the delete-one-block
-    jackknife error that all three estimators share."""
+def empirical_w1(batch: SampleBatch, estimator: str = "bias_corrected") -> EmpiricalW1Result:
+    """Empirical W1 distance between the batch and the stable target of its
+    alpha: the estimator's statistic on every replicate, with the
+    delete-one-block jackknife error that all three estimators share."""
     m = batch.m
-    _check_w1_args(m, estimator, target, batch.alpha)
+    _check_w1_args(m, estimator)
+    alpha = batch.alpha
     vals = batch.values
     blocks = _jackknife_blocks(m, batch.seed)
     ref_m, floor = m, 0.0
     if estimator == "two_sample":
-        ref = _per_fit(("reference", target.alpha, target.scale, batch.seed, m),
-                       lambda: np.sort(target.sigma_root * sample_stable(
-                           target.alpha, substream(batch.seed, STREAM_REFERENCE, 0), m)))
+        ref = _per_fit(("reference", alpha, batch.seed, m),
+                       lambda: np.sort(sample_stable(
+                           alpha, substream(batch.seed, STREAM_REFERENCE, 0), m)))
         d_pair = np.abs(vals - ref)
         est, jk = _jackknifed(
             lambda keep: float((d_pair if keep is None else d_pair[keep]).mean()), blocks)
     else:
-        tab = quantile_table(target.alpha, target.scale)
-        tail_c = target.tail_coefficient
+        tab = quantile_table(alpha)
         if estimator == "bias_corrected":
             # the floors (see _bias_floors) come before the batch's own
             # statistic: the other order gives the same bits but a fit's peak
             # RSS rose by about 5 MB
-            floor, floor_jk = _per_fit(("floors", target.alpha, target.scale, batch.seed, m),
-                                       lambda: _bias_floors(target, tab, batch.seed, blocks))
+            floor, floor_jk = _per_fit(("floors", alpha, batch.seed, m),
+                                       lambda: _bias_floors(tab, batch.seed, blocks))
         est, jk = _jackknifed(lambda keep: _one_sample_value(
-            vals if keep is None else vals[keep], tab, tail_c, target.alpha), blocks)
+            vals if keep is None else vals[keep], tab), blocks)
         if estimator == "bias_corrected":
             est = max(est - floor, 0.0)
             jk = [max(raw - f, 0.0) for raw, f in zip(jk, floor_jk)]
@@ -468,8 +450,7 @@ class RateFit:
 
 
 def fit_rate(spec: DistributionSpec, alpha: float, n_grid: Sequence[int], m: int,
-             seed: int, estimator: str = "bias_corrected",
-             threads: Optional[int] = None) -> RateFit:
+             seed: int, estimator: str = "bias_corrected") -> RateFit:
     """Empirical convergence-rate fit over a log-spaced grid of n.
 
     Replicate streams are shared across the grid (common random numbers),
@@ -477,13 +458,12 @@ def fit_rate(spec: DistributionSpec, alpha: float, n_grid: Sequence[int], m: int
     estimates are dropped from the fit and reported.
 
     Each grid point's result equals ``empirical_w1(sample_sum(spec, n, m,
-    seed, threads), StableLaw(alpha), estimator)`` bit for bit, but the
-    shared work is done once: a prefix-consistent family draws each
-    replicate once, at the largest n, and every n sums a prefix of it; the
-    bias floor with its jackknife values and the sorted two-sample
-    reference, which do not depend on n, are computed at the first grid
-    point and reused.  The slope is fitted on the log of each n as an int
-    (see ``sample_sum``).
+    seed), estimator)`` bit for bit, but the shared work is done once: a
+    prefix-consistent family draws each replicate once, at the largest n,
+    and every n sums a prefix of it; the bias floor with its jackknife
+    values and the sorted two-sample reference, which do not depend on n,
+    are computed at the first grid point and reused.  The slope is fitted
+    on the log of each n as an int (see ``sample_sum``).
     """
     if len(n_grid) < 4:
         raise DomainError("fit_rate needs at least 4 grid points")
@@ -492,16 +472,15 @@ def fit_rate(spec: DistributionSpec, alpha: float, n_grid: Sequence[int], m: int
     if sorted(n_grid) != n_grid:
         raise DomainError("n_grid must be increasing")
     check_spec_alpha(spec, alpha)
-    target = StableLaw(alpha)
-    _check_w1_args(m, estimator, target, alpha)     # before the grid is drawn
+    _check_w1_args(m, estimator)     # before the grid is drawn
     results = []
     kept_logn = []
     kept_logw = []
     dropped = []
-    batches = _sample_sums(spec, n_grid, m, seed, threads)
+    batches = _sample_sums(spec, n_grid, m, seed)
     with _one_fit():
         for n, batch in zip(n_grid, batches):
-            res = empirical_w1(batch, target, estimator)
+            res = empirical_w1(batch, estimator)
             results.append(res)
             if res.estimate > 0.0:
                 kept_logn.append(math.log(n))

@@ -89,13 +89,6 @@ class TestBoundMain:
                 assert gap < prev_gap
             prev_gap = gap
 
-    def test_scale_invariance(self):
-        base = bound_main(Pareto(1.5), 1.5, 10 ** 4, math.inf, 0.5)
-        scaled = bound_main(Pareto(1.5), 1.5, 10 ** 4, math.inf, 0.5, target_scale=3.0)
-        f = 3.0 ** (1.0 / 1.5)
-        assert scaled.total == pytest.approx(f * base.total, rel=1e-14)
-        assert scaled.gamma_term == pytest.approx(f * base.gamma_term, rel=1e-14)
-
     def test_infinite_N_rejected_for_unsupported(self):
         with pytest.raises(DomainError):
             bound_main(equal_weight_mp(1.5, 1.8), 1.5, 1000, math.inf, 0.5)
@@ -386,13 +379,6 @@ class TestBoundedMinimizerParity:
 
 
 class TestOptimizeGamma:
-    def test_grid_restricted_matches_reference_grid(self):
-        grid = [round(0.1 * i, 1) for i in range(1, 10)]
-        g15, _ = optimize_gamma(Pareto(1.5), 1.5, 10 ** 6, math.inf, gamma_grid=grid)
-        g11, _ = optimize_gamma(Pareto(1.1), 1.1, 10 ** 6, math.inf, gamma_grid=grid)
-        assert g15 == 0.9
-        assert g11 == 0.9
-
     def test_continuous_vs_dense_grid(self):
         spec = Pareto(1.5)
         g_star, t_star = optimize_gamma(spec, 1.5, 10 ** 6, math.inf)
@@ -401,14 +387,6 @@ class TestOptimizeGamma:
         g_brute = float(dense[int(np.argmin(totals))])
         assert abs(g_star - g_brute) <= 0.005
         assert t_star <= min(totals) + 1e-12
-
-    def test_grid_order_irrelevant_and_ties_resolve_small(self):
-        # unsorted grids give the global minimum; an exact duplicate of the
-        # minimizer still yields a single deterministic gamma
-        grid = [0.5, 0.9, 0.3, 0.9]
-        g, t = optimize_gamma(Pareto(1.5), 1.5, 10 ** 6, math.inf, gamma_grid=grid)
-        assert g == 0.9
-        assert t == pytest.approx(pareto_bound_closed(1.5, 0.9, 10 ** 6), rel=1e-13)
 
     @pytest.mark.parametrize("alpha", [1.01, 1.37, 1.5, 1.99])
     def test_scan_memo_equals_fresh_constants(self, alpha):
@@ -437,17 +415,19 @@ class TestOptimizeGamma:
             optimize_gamma(make(), other, 10 ** 6, N)
             assert repr(optimize_gamma(make(), alpha, 10 ** 6, N)) == want
 
-    def test_scan_memo_filled_by_racing_threads(self):
+    def test_scan_memo_filled_by_racing_threads(self, monkeypatch):
         import sys
 
         from stable_stein.bounds import _holder_scan
 
-        want = figure_gamma_curves(n=10 ** 6, alphas=[1.5], threads=1)[0]
+        monkeypatch.setenv("STABLE_STEIN_THREADS", "1")
+        want = figure_gamma_curves(n=10 ** 6, alphas=[1.5])[0]
         interval = sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-6)
             _holder_scan.cache_clear()
-            rows = figure_gamma_curves(n=10 ** 6, alphas=[1.5] * 8, threads=4)
+            monkeypatch.setenv("STABLE_STEIN_THREADS", "4")
+            rows = figure_gamma_curves(n=10 ** 6, alphas=[1.5] * 8)
         finally:
             sys.setswitchinterval(interval)
         assert rows == [want] * 8
@@ -512,15 +492,6 @@ class TestReportInvariants:
         assert rep.total == pytest.approx(assembled, rel=1e-14)
         assert rep.total > 0.0
         assert rep.discrepancy_term >= 0.0 and rep.gamma_term >= 0.0
-
-    @given(st.floats(min_value=0.1, max_value=10.0))
-    @settings(max_examples=30, deadline=None)
-    def test_scale_covariance(self, sigma):
-        base = bound_main(Pareto(1.5), 1.5, 10 ** 4, math.inf, 0.5)
-        scaled = bound_main(Pareto(1.5), 1.5, 10 ** 4, math.inf, 0.5,
-                            target_scale=sigma)
-        assert scaled.total == pytest.approx(
-            sigma ** (1.0 / 1.5) * base.total, rel=1e-12)
 
     def test_asymmetric_remainder_bracket(self):
         # law with mean mu > 0 and vanishing tail corrections: the remainder

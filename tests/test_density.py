@@ -21,6 +21,7 @@ from stable_stein.density import (
     osc_integral_I,
     osc_integral_J,
     quantile,
+    quantile_table,
     verify_hk_bounds,
 )
 from stable_stein.errors import DomainError
@@ -113,11 +114,17 @@ class TestDensity:
 
     @pytest.mark.parametrize("t", [0.3, 1.0, 2.7])
     def test_scaling_law(self, t):
+        # t^{1/alpha} X has characteristic function e^{-t |l|^alpha}; its
+        # density, inverted directly by scipy's Fourier-integral rule, is
+        # t^{-1/alpha} p(t^{-1/alpha} x)
+        from scipy.integrate import quad
+
         alpha = 1.5
         for x in [0.2, 1.0, 4.0]:
-            lhs = density(StableLaw(alpha, scale=t), x)
+            direct = quad(lambda lam: math.exp(-t * lam ** alpha), 0.0, math.inf,
+                          weight="cos", wvar=x)[0] / math.pi
             rhs = t ** (-1.0 / alpha) * density(StableLaw(alpha), t ** (-1.0 / alpha) * x)
-            assert lhs == pytest.approx(rhs, rel=1e-8)
+            assert direct == pytest.approx(rhs, rel=1e-8)
 
 
 class TestDerivatives:
@@ -139,6 +146,44 @@ class TestDerivatives:
     def test_order_validation(self):
         with pytest.raises(DomainError):
             density_deriv(StableLaw(1.5), 1.0, 3)
+
+
+class TestFarTail:
+    """Beyond |x| = 2000 the density and its derivatives come from the
+    tail series, whose cost does not grow with |x|."""
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    def test_two_sides_of_the_switch_agree(self, alpha):
+        law = StableLaw(alpha)
+        for x in (2000.0, -2000.0):
+            beyond = math.nextafter(x, math.copysign(math.inf, x))
+            # x itself still goes through the Fourier inversion
+            assert density(law, beyond) == pytest.approx(density(law, x), rel=0, abs=1e-15)
+            for order in (1, 2):
+                assert density_deriv(law, beyond, order) == pytest.approx(
+                    density_deriv(law, x, order), rel=0, abs=1e-15)
+
+    def test_far_points_are_finite_without_quadrature(self, monkeypatch):
+        den = sys.modules["stable_stein.density"]   # the package's `density` is a function
+
+        def refuse(*args):
+            raise AssertionError("Fourier inversion beyond the tail switch")
+
+        monkeypatch.setattr(den, "_fourier_integral", refuse)
+        law = StableLaw(1.5)
+        for x in (1e6, -1e6, 1e300, math.inf, -math.inf):
+            p = density(law, x)
+            assert math.isfinite(p) and p >= 0.0
+            for order in (1, 2):
+                assert math.isfinite(density_deriv(law, x, order))
+        assert density(law, math.inf) == 0.0
+        # at 1e6 the leading tail term alpha c x^{-alpha-1} is exact to ~1e-9
+        c = d_alpha(1.5) / 1.5
+        lead = 1.5 * c * 1e6 ** -2.5
+        assert density(law, 1e6) == pytest.approx(lead, rel=1e-8)
+        assert density_deriv(law, 1e6, 1) == pytest.approx(-2.5 * lead / 1e6, rel=1e-8)
+        assert density_deriv(law, -1e6, 1) == pytest.approx(2.5 * lead / 1e6, rel=1e-8)
+        assert density_deriv(law, 1e6, 2) == pytest.approx(2.5 * 3.5 * lead / 1e12, rel=1e-8)
 
 
 class TestHeatKernelBounds:
@@ -214,12 +259,10 @@ class TestQuantileTable:
         xs = tab(us)
         assert np.all(np.diff(xs) >= 0.0)
 
-    def test_scale_factor(self):
-        t1 = QuantileTable(1.5)
-        t2 = QuantileTable(1.5, scale=2.0)
-        u = np.array([0.9])
-        assert float(t2(u)[0]) == pytest.approx(
-            2.0 ** (1.0 / 1.5) * float(t1(u)[0]), rel=1e-12)
+    def test_cache_keyed_on_the_exact_alpha(self):
+        # a nearby alpha gets its own table, not the one of a rounded key
+        assert quantile_table(1.5).alpha == 1.5
+        assert quantile_table(1.5 + 1e-13).alpha == 1.5 + 1e-13
 
 
 @pytest.fixture

@@ -1,9 +1,11 @@
-"""Every exported name resolves: each module's ``__all__`` and the package;
-and no module of the package imports scipy."""
+"""Every exported name resolves: each module's ``__all__``, the package and
+the names the benchmark's tracer wraps; and no module of the package
+imports scipy."""
 
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,25 @@ def test_no_module_imports_scipy():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] == "scipy"]
     assert len(list(src.glob("*.py"))) >= 10 and found == []
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    # the benchmark's tracer wraps names of the package by module attribute;
+    # a simplification that deletes or renames one breaks it here, in Tier-1
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    tracing = importlib.import_module("tracing")
+    bindings = tracing._bindings()
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _, _ in bindings if not hasattr(owner, attr)]
+    assert missing == []
+    before = [getattr(owner, attr) for owner, attr, _, _ in bindings]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert all(getattr(owner, attr) is not fn
+                   for (owner, attr, _, _), fn in zip(bindings, before))
+    finally:
+        tracer.uninstall()
+    assert [getattr(owner, attr) for owner, attr, _, _ in bindings] == before

@@ -25,7 +25,6 @@ import pytest
 from stable_stein import bounds as bnd
 from stable_stein import kernels as ker
 from stable_stein import sampling as smp
-from stable_stein.density import StableLaw
 from stable_stein.errors import ConvergenceError, DomainError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -119,7 +118,7 @@ def _cases():
             for n, m, seed in ((100, 2000, 1), (1000, 3000, 7)):
                 cases[f"{name}/empirical_w1/{est}/n={n},m={m},seed={seed}"] = \
                     lambda make=make, est=est, n=n, m=m, seed=seed: smp.empirical_w1(
-                        smp.sample_sum(make(), n, m, seed), StableLaw(1.5), est)
+                        smp.sample_sum(make(), n, m, seed), est)
     for est in ESTIMATORS:
         cases[f"pareto/fit_rate/{est}"] = lambda est=est: smp.fit_rate(
             ker.Pareto(1.5), 1.5, [100, 316, 1000, 3162], 3000, 3, est)

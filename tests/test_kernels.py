@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from stable_stein.bounds import bound_main
 from stable_stein.errors import ConvergenceError, DomainError
 from stable_stein.kernels import (
     GeneralTail,
@@ -16,13 +17,12 @@ from stable_stein.kernels import (
     LogPerturbedPareto,
     ModifiedPareto,
     Pareto,
+    abs_tail_moment_zeta,
     discrepancy_l1,
     k_function,
-    kernel_profile,
     solve_log_tail_scale,
     stable_kernel,
     stable_kernel_mass,
-    tail_first_moment,
 )
 from stable_stein.special import d_alpha
 
@@ -346,15 +346,17 @@ class TestKFunction:
     def test_quadrature_backend_matches_closed(self, pareto15, mp_beta4):
         for spec in (pareto15, mp_beta4):
             for t in [0.0, 0.07, -0.8, 3.0]:
-                c = float(k_function(spec, 1.5, 500, t, 8.0, backend="closed_form"))
+                c = float(k_function(spec, 1.5, 500, t, 8.0))
                 q = float(k_function(spec, 1.5, 500, t, 8.0, backend="quadrature"))
                 assert q == pytest.approx(c, rel=1e-8, abs=1e-14)
 
     def test_closed_form_falls_back(self):
+        # a law without k1_power_terms goes through the tail-integral identity
         gt = GeneralTail(alpha=1.5, theta_scale=1.0, A_thresh=1.0,
                          m1_fn=lambda x: 0.0, m2_fn=lambda x: 0.0)
-        v = float(k_function(gt, 1.5, 500, 0.1, 8.0, backend="closed_form"))
+        v = float(k_function(gt, 1.5, 500, 0.1, 8.0))
         assert v > 0.0
+        assert v == float(k_function(gt, 1.5, 500, 0.1, 8.0, backend="quadrature"))
 
     @given(st.floats(min_value=0.01, max_value=4.0),
            st.floats(min_value=0.01, max_value=4.0))
@@ -369,6 +371,15 @@ class TestKFunction:
     def test_alpha_mismatch(self, pareto15):
         with pytest.raises(DomainError):
             k_function(pareto15, 1.4, 100, 0.1, 5.0)
+
+
+def upper_tail_moment(spec, t, n=1000):
+    """E[xi 1{xi > t}] of a mean-zero symmetric law, read off
+    abs_tail_moment_zeta: E[|zeta| 1{|zeta| > t/r}] = (2/r) E[xi 1{xi > t}]
+    for zeta = xi / r, r = ell_n^{1/alpha}."""
+    assert spec.mean == 0.0
+    root = spec.ell(n) ** (1.0 / spec.alpha)
+    return root / 2.0 * abs_tail_moment_zeta(spec, n, t / root)
 
 
 class TestTailIdentity:
@@ -386,7 +397,7 @@ class TestTailIdentity:
 
     @pytest.mark.parametrize("t", [0.5, 2.0, 5.0])
     def test_quadrature_path_matches_closed(self, pareto15, t):
-        identity = tail_first_moment(pareto15, t)
+        identity = upper_tail_moment(pareto15, t)
         closed = 1.5 / (2.0 * 0.5) * max(t, 1.0) ** -0.5
         assert identity == pytest.approx(closed, rel=1e-9)
 
@@ -407,7 +418,7 @@ class TestTailIdentity:
 
         A, B, alpha, beta = mp_beta4.A, mp_beta4.B, 1.5, 4.0
         for t in [0.8, 3.0]:
-            lhs = tail_first_moment(mp_beta4, t)
+            lhs = upper_tail_moment(mp_beta4, t)
             lo = max(t, 1.0)
             want = A / (2.0 * (alpha - 1.0)) * lo ** (1.0 - alpha) + \
                 B / (2.0 * (beta - 1.0)) * lo ** (1.0 - beta)
@@ -417,7 +428,25 @@ class TestTailIdentity:
         with mp.workdps(30):
             want = mp.quad(lambda x: x * lp.K0 * (1.5 * mp.log(x) - 1.0) / (2 * x ** 2.5),
                            [6.0, 100.0, mp.inf])
-        assert tail_first_moment(lp, 6.0) == pytest.approx(float(want), rel=1e-8)
+        assert upper_tail_moment(lp, 6.0) == pytest.approx(float(want), rel=1e-8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: k_function(Pareto(1.5), 1.5, n, 0.5, 5.0),
+    lambda n: abs_tail_moment_zeta(Pareto(1.5), n, 5.0),
+    lambda n: discrepancy_l1(Pareto(1.5), 1.5, n, 5.0),
+    lambda n: bound_main(Pareto(1.5), 1.5, n, 5.0, 0.5),
+    lambda n: solve_log_tail_scale(2.0, 3.0, 1.5, 1.0, n),
+], ids=["k_function", "abs_tail_moment_zeta", "discrepancy_l1", "bound_main",
+        "solve_log_tail_scale"])
+def test_one_positive_count_rule_for_n(call):
+    # an integral float passes through; anything else is a DomainError, not
+    # a raw TypeError or ZeroDivisionError, nor a value for a fractional or
+    # NaN n
+    assert call(1000.0) == call(1000)
+    for bad in (-3, 0, 100.5, math.nan, math.inf, "100"):
+        with pytest.raises(DomainError, match="n must be a positive integer"):
+            call(bad)
 
 
 class TestDiscrepancy:
@@ -518,17 +547,8 @@ class TestGeneralTailBoundsPinned:
         gt = self.spec()
         for t in (-3.0, -0.2, 0.01, 0.7, 4.0):
             assert k_function(gt, 1.5, 100, t, 5.0) == _k_quadrature(gt, 100, t, 5.0)
-            assert k_function(mp_beta4, 1.5, 100, t, 5.0, backend="closed_form") == \
+            assert k_function(mp_beta4, 1.5, 100, t, 5.0) == \
                 _k_closed_two_term(mp_beta4, 100, t, 5.0)
-
-
-class TestKernelProfile:
-    def test_rows_and_diff(self, pareto15):
-        rows = kernel_profile(pareto15, 1000, 5.0, [-1.0, 0.5, 2.0])
-        assert len(rows) == 3
-        for t, kal, kf, diff in rows:
-            assert kal >= 0.0 and kf >= 0.0
-            assert diff == pytest.approx(abs(kal / 1000 - kf / 1.5), rel=1e-12)
 
 
 class TestLogTailThreshold:
@@ -559,15 +579,3 @@ class TestLogTailThreshold:
             assert a_n >= 0.5 * (K0 * n) ** (1.0 / alpha)
             assert a_n <= 2.0 * (K0 * n) ** (1.0 / alpha) * math.log(n) ** (beta / alpha)
 
-
-class TestProfileCsv:
-    def test_write_profile(self, pareto15, tmp_path):
-        from stable_stein.kernels import write_kernel_profile_csv
-
-        path = tmp_path / "profile.csv"
-        write_kernel_profile_csv(path, pareto15, 1000, 5.0, [-1.0, 0.5, 2.0])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,stable_kernel,k_function,abs_diff"
-        assert len(lines) == 4
-        cells = lines[1].split(",")
-        assert float(cells[0]) == -1.0 and float(cells[1]) > 0.0

@@ -121,11 +121,10 @@ class TestStableSampler:
         assert abs(float(np.mean(np.sin(xs)))) <= 0.004
 
     def test_char_function_cross_module(self):
-        # sampler against the characteristic function the density module uses
-        law = StableLaw(1.3)
+        # sampler against the target's characteristic function e^{-|lam|^alpha}
         xs = sample_stable(1.3, substream(9, 5, 2), 10 ** 6)
         for lam in [0.5, 1.0, 2.0]:
-            want = float(law.char_function(lam))
+            want = math.exp(-abs(lam) ** 1.3)
             got = float(np.mean(np.cos(lam * xs)))
             assert abs(got - want) <= 4.0 / math.sqrt(xs.size) + 0.002
 
@@ -135,9 +134,11 @@ class TestStableSampler:
 
 
 class TestSampleSum:
-    def test_determinism_across_thread_counts(self, pareto15):
-        b1 = sample_sum(pareto15, 100, 4000, seed=42, threads=1)
-        b8 = sample_sum(pareto15, 100, 4000, seed=42, threads=8)
+    def test_determinism_across_thread_counts(self, pareto15, monkeypatch):
+        monkeypatch.setenv("STABLE_STEIN_THREADS", "1")
+        b1 = sample_sum(pareto15, 100, 4000, seed=42)
+        monkeypatch.setenv("STABLE_STEIN_THREADS", "8")
+        b8 = sample_sum(pareto15, 100, 4000, seed=42)
         assert b1.values.tobytes() == b8.values.tobytes()
 
     def test_sorted_and_sized(self, pareto15):
@@ -203,25 +204,24 @@ class TestEmpiricalW1:
     def test_refuses_tiny_m(self, pareto15):
         batch = SampleBatch(spec=pareto15, n=1, m=50, seed=0, values=np.zeros(50))
         with pytest.raises(DomainError):
-            empirical_w1(batch, StableLaw(1.5))
+            empirical_w1(batch)
 
     @pytest.mark.parametrize("alpha", [1.3, 1.5, 1.8])
     def test_point_mass_gives_absolute_moment(self, pareto15, alpha):
         spec = Pareto(alpha)
         batch = SampleBatch(spec=spec, n=1, m=10 ** 5, seed=0,
                             values=np.zeros(10 ** 5))
-        res = empirical_w1(batch, StableLaw(alpha), "one_sample_quantile")
+        res = empirical_w1(batch, "one_sample_quantile")
         assert res.estimate == pytest.approx(ORACLE_ABS_MOMENT[alpha], rel=1e-4)
 
     def test_self_distance_sits_at_floor(self, pareto15):
         # two independent target batches: one-sample estimates agree within
         # error bars and sit at the m^{-(1-1/alpha)} bias-floor scale
         m = 10 ** 5
-        law = StableLaw(1.5)
         va = np.sort(sample_stable(1.5, substream(21, 5, 0), m))
         vb = np.sort(sample_stable(1.5, substream(22, 5, 0), m))
-        ra = empirical_w1(SampleBatch(pareto15, 1, m, 21, va), law, "one_sample_quantile")
-        rb = empirical_w1(SampleBatch(pareto15, 1, m, 22, vb), law, "one_sample_quantile")
+        ra = empirical_w1(SampleBatch(pareto15, 1, m, 21, va), "one_sample_quantile")
+        rb = empirical_w1(SampleBatch(pareto15, 1, m, 22, vb), "one_sample_quantile")
         assert abs(ra.estimate - rb.estimate) <= 3.0 * (ra.std_error + rb.std_error)
         floor_scale = m ** (-(1.0 - 1.0 / 1.5))
         assert ra.estimate <= 20.0 * floor_scale
@@ -229,12 +229,11 @@ class TestEmpiricalW1:
 
     def test_two_sample_vs_one_sample_envelopes(self, pareto15):
         m = 10 ** 4
-        law = StableLaw(1.5)
         vals = np.sort(sample_stable(1.5, substream(23, 5, 0), m))
         batch = SampleBatch(pareto15, 1, m, 23, vals)
-        r1 = empirical_w1(batch, law, "one_sample_quantile")
-        r2 = empirical_w1(batch, law, "two_sample")
-        rc = empirical_w1(batch, law, "bias_corrected")
+        r1 = empirical_w1(batch, "one_sample_quantile")
+        r2 = empirical_w1(batch, "two_sample")
+        rc = empirical_w1(batch, "bias_corrected")
         # corrected never exceeds the raw paired estimate
         assert rc.estimate <= r2.estimate
         assert rc.bias_floor_estimate > 0.0
@@ -245,18 +244,12 @@ class TestEmpiricalW1:
 
     def test_estimator_field_bookkeeping(self, pareto15):
         b = sample_sum(pareto15, 10, 200, seed=9)
-        law = StableLaw(1.5)
-        r = empirical_w1(b, law, "two_sample")
+        r = empirical_w1(b, "two_sample")
         assert r.reference_m == 200 and r.estimator == "two_sample"
-        r = empirical_w1(b, law, "one_sample_quantile")
+        r = empirical_w1(b, "one_sample_quantile")
         assert r.reference_m is None
         with pytest.raises(DomainError):
-            empirical_w1(b, law, "banana")
-
-    def test_alpha_mismatch(self, pareto15):
-        b = sample_sum(pareto15, 10, 200, seed=9)
-        with pytest.raises(DomainError):
-            empirical_w1(b, StableLaw(1.4))
+            empirical_w1(b, "banana")
 
 
 class TestFitRate:
@@ -268,9 +261,8 @@ class TestFitRate:
         spec = request.getfixturevalue("pareto15" if family == "pareto" else family)
         grid = [100, 200, 400, 800]
         fit = fit_rate(spec, 1.5, grid, 3000, seed=5)
-        law = StableLaw(1.5)
         for n, res in zip(grid, fit.per_n):
-            assert res == empirical_w1(sample_sum(spec, n, 3000, 5), law), n
+            assert res == empirical_w1(sample_sum(spec, n, 3000, 5)), n
         assert fit.dropped == ((400, "non-positive corrected estimate"),)
 
     def test_two_sample_reference_drawn_once_per_fit(self, pareto15, monkeypatch):
@@ -287,9 +279,8 @@ class TestFitRate:
         grid = [100, 316, 1000, 3162]
         fit = smp.fit_rate(pareto15, 1.5, grid, 3000, 3, "two_sample")
         assert draws == [3000]
-        law = StableLaw(1.5)
         for n, res in zip(grid, fit.per_n):
-            assert res == empirical_w1(sample_sum(pareto15, n, 3000, 3), law, "two_sample"), n
+            assert res == empirical_w1(sample_sum(pareto15, n, 3000, 3), "two_sample"), n
         assert len(draws) == 1 + len(grid)     # outside a fit: one draw per call
 
     def test_fresh_table_thread_count_invariant(self, pareto15, monkeypatch):
@@ -298,19 +289,22 @@ class TestFitRate:
         den = sys.modules["stable_stein.density"]   # the package's `density` is a function
         grid = [100, 200, 400, 800]
         fits = []
-        for threads in (1, 2):
+        for threads in ("1", "2"):
             monkeypatch.setattr(den, "_table_cache", {})
+            monkeypatch.setenv("STABLE_STEIN_THREADS", threads)
             fits.append(fit_rate(pareto15, 1.5, grid, 2000, seed=7,
-                                 estimator="one_sample_quantile", threads=threads))
+                                 estimator="one_sample_quantile"))
         assert fits[0] == fits[1]
 
     @pytest.mark.parametrize("threads", [2, 5])
-    def test_thread_count_invariant(self, pareto15, threads):
+    def test_thread_count_invariant(self, pareto15, threads, monkeypatch):
         grid = [100, 200, 400, 800]
+        monkeypatch.setenv("STABLE_STEIN_THREADS", "1")
         f1 = fit_rate(pareto15, 1.5, grid, 2000, seed=7,
-                      estimator="one_sample_quantile", threads=1)
+                      estimator="one_sample_quantile")
+        monkeypatch.setenv("STABLE_STEIN_THREADS", str(threads))
         fk = fit_rate(pareto15, 1.5, grid, 2000, seed=7,
-                      estimator="one_sample_quantile", threads=threads)
+                      estimator="one_sample_quantile")
         assert f1 == fk
 
     @pytest.mark.parametrize("kw", [{"m": 50}, {"estimator": "banana"},
@@ -354,11 +348,11 @@ class TestFitRate:
         calls = {"k": 0}
         real = smp.empirical_w1
 
-        def fake(batch, target, estimator="bias_corrected", **kw):
+        def fake(batch, estimator="bias_corrected", **kw):
             calls["k"] += 1
             if calls["k"] == 2:
                 return EmpiricalW1Result(0.0, 0.0, estimator, batch.m)
-            return real(batch, target, estimator, **kw)
+            return real(batch, estimator, **kw)
 
         monkeypatch.setattr(smp, "empirical_w1", fake)
         fit = smp.fit_rate(pareto15, 1.5, [100, 200, 400, 800], 200, seed=1)
