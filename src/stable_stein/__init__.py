@@ -67,7 +67,6 @@ from .sampling import (
     fit_rate,
     sample_stable,
     sample_sum,
-    sample_summand,
     substream,
 )
 from .special import D_alpha, D_alpha_gamma, beta_fn, d_alpha, gamma_fn

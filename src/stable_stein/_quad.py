@@ -21,6 +21,10 @@ test against scipy:
 - the bounded Brent minimizer of ``optimize_gamma``
   (``bounds._minimize_bounded``, ``TestBoundedMinimizerParity`` in
   ``tests/test_bounds.py``).
+
+``quad`` and ``brentq`` run on Python floats.  Only the panel rules build
+arrays, so ``gl_rule`` and ``panel_nodes`` import numpy on their first
+call, and a command that needs no array starts without loading numpy.
 """
 
 from __future__ import annotations
@@ -29,14 +33,14 @@ import math
 import sys
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError
 
 
 @lru_cache(maxsize=None)
 def gl_rule(order: int):
     """Nodes and weights of the Gauss-Legendre rule on [-1, 1]."""
+    import numpy as np
+
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
 
@@ -47,6 +51,8 @@ def panel_nodes(edges, order: int = 16):
     Returns flat arrays (nodes, weights); ``dot(f(nodes), weights)`` is the
     composite integral over [edges[0], edges[-1]].
     """
+    import numpy as np
+
     edges = np.asarray(edges, dtype=float)
     x, w = gl_rule(order)
     half = 0.5 * np.diff(edges)

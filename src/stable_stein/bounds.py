@@ -35,6 +35,11 @@ which regenerates the reference bound table at n = 10^6.
 N = inf is a first-class value: it is accepted exactly when every term has a
 finite analytic limit (plain power law always; the two-term family only for
 second exponent beta > 2), and rejected otherwise.
+
+Everything here runs on Python floats, the optimal-gamma scan and its
+bounded Brent refinement included, so a bound, a table or the figure loads
+numpy only where a summand law's own rule needs an array function (the
+log-perturbed tail's ``np.log``, the quadrature discrepancy's probe grid).
 """
 
 from __future__ import annotations
@@ -43,8 +48,6 @@ import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from ._quad import quad
 from .errors import DomainError
@@ -80,7 +83,6 @@ __all__ = [
     "log_example_A_n",
     "pareto_bound_closed",
     "default_truncation",
-    "bound_total_slope",
     "constants_table_d",
     "constants_table_dgamma",
     "pareto_bound_table",
@@ -220,7 +222,7 @@ def _m2_tail_integral(spec: DistributionSpec, scale: float) -> float:
             return 0.0
         return spec.m2(math.exp(w) * scale) * math.exp((1.0 - alpha) * w)
 
-    val, _ = quad(integrand, 0.0, np.inf, limit=200)
+    val, _ = quad(integrand, 0.0, math.inf, limit=200)
     return val
 
 
@@ -253,7 +255,7 @@ def _tail_model_truncation(spec, alpha, n, N, n_term):
         return spec.m2(math.exp(w) * root * N) * math.exp((1.0 - alpha) * w) \
             / delta ** (1.0 - alpha)
 
-    m2_int_raw = quad(delta_integrand, math.log(delta), np.inf, limit=200)[0]
+    m2_int_raw = quad(delta_integrand, math.log(delta), math.inf, limit=200)[0]
     bracket = (1.0 + delta ** (alpha - 1.0)) / (alpha - 1.0) + 1.0 / delta \
         + m2_at / delta + m2_int_raw
     piece = 4.0 * da / delta ** (alpha - 1.0) * bracket * N ** (1.0 - alpha)
@@ -299,25 +301,6 @@ def rate_order(spec: DistributionSpec, alpha: Optional[float] = None) -> RateOrd
     if alpha is not None:
         check_spec_alpha(spec, alpha)
     return spec.rate_order()
-
-
-def bound_total_slope(spec: DistributionSpec, alpha: float, n_grid: Sequence[int],
-                      gamma: Optional[float] = None, N="auto") -> float:
-    """Log-log slope of the assembled bound totals over a grid of n.
-
-    gamma defaults to 2 - alpha, which makes the smoothing term decay at the
-    leading order itself, so pure-power families fit their rate exponent
-    exactly."""
-    g = (2.0 - alpha) if gamma is None else gamma
-    logs_n = []
-    logs_t = []
-    for n in n_grid:
-        trunc = default_truncation(spec, int(n)) if N == "auto" else N
-        total = bound_main(spec, alpha, int(n), trunc, g).total
-        logs_n.append(math.log(n))
-        logs_t.append(math.log(total))
-    slope, _ = np.polyfit(logs_n, logs_t, 1)
-    return float(slope)
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +383,16 @@ def example2_bound(A: float, B: float, alpha: float, beta: float, gamma: float,
 # optimizers
 # ---------------------------------------------------------------------------
 
-_GAMMA_SCAN = np.linspace(0.01, 0.99, 99)
-_SQRT_EPS = np.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
+# np.linspace(0.01, 0.99, 99) bit for bit: 0.01 + i * step, the end point exact
+_GAMMA_SCAN = tuple(i * ((0.99 - 0.01) / 98) + 0.01 for i in range(98)) + (0.99,)
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _step_sign(r):
+    """scipy's ``np.sign(r) + (r == 0)``: 1 for r >= 0, either zero included,
+    -1 for r < 0, and r itself for a NaN."""
+    return 1.0 if r >= 0.0 else -1.0 if r < 0.0 else r
 
 
 def _minimize_bounded(func, a, b) -> tuple:
@@ -410,8 +400,9 @@ def _minimize_bounded(func, a, b) -> tuple:
 
     Step for step scipy's bounded scalar minimizer with ``xatol=1e-6``, its
     constants and its 500-evaluation cap, so the bits are scipy's
-    (``TestBoundedMinimizerParity`` in ``tests/test_bounds.py``).  Numpy
-    float bounds make ``func`` see numpy floats, as under scipy.
+    (``TestBoundedMinimizerParity`` in ``tests/test_bounds.py``).  The
+    arithmetic keeps the type of the bounds: Python float bounds give
+    ``func`` Python floats, numpy float bounds numpy floats, as under scipy.
     """
     nfc = xf = fulc = a + _GOLDEN * (b - a)
     rat = e = 0.0
@@ -419,30 +410,31 @@ def _minimize_bounded(func, a, b) -> tuple:
     num = 1
     ffulc = fnfc = fx
     xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * np.abs(xf) + 1e-6 / 3.0
+    tol1 = _SQRT_EPS * abs(xf) + 1e-6 / 3.0
     tol2 = 2.0 * tol1
-    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
         golden = True
-        if np.abs(e) > tol1:     # try a parabola through the last three points
+        if abs(e) > tol1:     # try a parabola through the last three points
             r = (xf - nfc) * (fx - ffulc)
             q = (xf - fulc) * (fx - fnfc)
             p = (xf - fulc) * q - (xf - nfc) * r
             q = 2.0 * (q - r)
             if q > 0.0:
                 p = -p
-            q = np.abs(q)
+            q = abs(q)
             r = e
             e = rat
-            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+            # a parabola is taken only when q != 0, so the division is safe
+            if (abs(p) < abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
                 golden = False
                 rat = (p + 0.0) / q
                 x = xf + rat
                 if ((x - a) < tol2) or ((b - x) < tol2):
-                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+                    rat = tol1 * _step_sign(xm - xf)
         if golden:
             e = (a - xf) if xf >= xm else (b - xf)
             rat = _GOLDEN * e
-        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        x = xf + _step_sign(rat) * max(abs(rat), tol1)
         fu = func(x)
         num += 1
         if fu <= fx:
@@ -458,7 +450,7 @@ def _minimize_bounded(func, a, b) -> tuple:
             elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
                 fulc, ffulc = x, fu
         xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * np.abs(xf) + 1e-6 / 3.0
+        tol1 = _SQRT_EPS * abs(xf) + 1e-6 / 3.0
         tol2 = 2.0 * tol1
         if num >= 500:
             break
@@ -468,7 +460,7 @@ def _minimize_bounded(func, a, b) -> tuple:
 @functools.lru_cache(maxsize=256)
 def _holder_scan(alpha: float) -> tuple:
     """D_alpha_gamma(alpha, g) on the scan grid, shared by every law and n."""
-    return tuple(D_alpha_gamma(alpha, g) for g in _GAMMA_SCAN.tolist())
+    return tuple(D_alpha_gamma(alpha, g) for g in _GAMMA_SCAN)
 
 
 def optimize_gamma(spec: DistributionSpec, alpha: float, n: int, N,
@@ -495,13 +487,14 @@ def optimize_gamma(spec: DistributionSpec, alpha: float, n: int, N,
         return fixed + holder * ell_pow ** g * spec.abs_central_moment(g)
 
     grid = _GAMMA_SCAN
-    values = [total(g, d) for g, d in zip(grid.tolist(), _holder_scan(float(alpha)))]
-    idx = int(np.argmin(values))
+    values = [total(g, d) for g, d in zip(grid, _holder_scan(float(alpha)))]
+    # np.argmin's index: the first NaN if there is one, else the first minimum
+    idx = min(range(len(values)), key=lambda i: (values[i] == values[i], values[i]))
     lo = grid[max(idx - 1, 0)]
     hi = grid[min(idx + 1, len(grid) - 1)]
     g_star, t_star = map(float, _minimize_bounded(total, lo, hi))
     if values[idx] < t_star:
-        g_star, t_star = float(grid[idx]), values[idx]
+        g_star, t_star = grid[idx], values[idx]
     return g_star, t_star
 
 

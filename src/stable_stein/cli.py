@@ -38,8 +38,6 @@ import os
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import bounds as bnd
 from . import sampling as smp
 from .density import StableLaw
@@ -297,6 +295,8 @@ def cmd_rate_fit(args):
 
 
 def cmd_density(args):
+    import numpy as np
+
     law = StableLaw(args.alpha)
     xs = np.arange(-args.xmax, args.xmax + args.step / 2.0, args.step)
     lines = ["x,p,cdf"]

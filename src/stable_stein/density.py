@@ -32,8 +32,6 @@ import math
 import threading
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._quad import brentq, panel_nodes
 from .errors import DomainError
 from .special import d_alpha
@@ -80,6 +78,8 @@ def _lambda_max(alpha: float) -> float:
 
 def _inversion_edges(xabs: float, alpha: float):
     """Panel edges on (0, lambda_max]: dyadic near 0, half-periods beyond."""
+    import numpy as np
+
     lam_max = _lambda_max(alpha)
     base = lam_max / 8.0
     if xabs > 0.0:
@@ -101,6 +101,8 @@ def _fourier_integral(theta: float, x: float, alpha: float, kind: str) -> float:
 
     kind: "cos", "sin", or "sinc" (sin(l x)/l with theta treated as 0).
     """
+    import numpy as np
+
     xabs = abs(x)
     stub, edges = _inversion_edges(xabs, alpha)
     nodes, weights = panel_nodes(edges)
@@ -299,6 +301,8 @@ class HeatKernelMargins:
 
 def verify_hk_bounds(alpha: float, x_grid) -> HeatKernelMargins:
     """Evaluate the four derivative-bound margins on a grid of points."""
+    import numpy as np
+
     if not (1.0 < alpha < 2.0):
         raise DomainError(f"verify_hk_bounds requires alpha in (1, 2), got {alpha}")
     xs = np.asarray(list(x_grid), dtype=float)
@@ -336,6 +340,8 @@ class _Pchip:
     _CHUNK = 8192       # points per evaluation pass; bounds the scratch memory
 
     def __init__(self, x, y):
+        import numpy as np
+
         self.x = x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         hk = x[1:] - x[:-1]
@@ -358,6 +364,8 @@ class _Pchip:
     @staticmethod
     def _edge_slope(h0, h1, m0, m1):
         """One-sided three-point slope, kept shape-preserving."""
+        import numpy as np
+
         d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
         if np.sign(d) != np.sign(m0):
             return 0.0
@@ -366,6 +374,8 @@ class _Pchip:
         return d
 
     def __call__(self, v):
+        import numpy as np
+
         v = np.asarray(v, dtype=float).ravel()
         x = self.x
         c0, c1, c2, c3 = self.c
@@ -410,6 +420,8 @@ class QuantileTable:
     """
 
     def __init__(self, alpha: float):
+        import numpy as np
+
         StableLaw(alpha)        # rejects an alpha outside (0, 2)
         self.alpha = alpha
         self.tail_c = d_alpha(alpha) / alpha  # P(X > x) ~ tail_c x^{-alpha}
@@ -428,6 +440,8 @@ class QuantileTable:
         self.cell_quantiles = functools.lru_cache(maxsize=4)(self._cell_quantiles)
 
     def __call__(self, u):
+        import numpy as np
+
         u = np.asarray(u, dtype=float)
         v = np.where(u >= 0.5, u, 1.0 - u)
         inside = v <= self.u_hi
@@ -448,6 +462,8 @@ class QuantileTable:
         ``cell_quantiles``, memoized for the last few m: a
         one-sample W1 statistic and its jackknife use only a few sizes.
         """
+        import numpy as np
+
         i_lo = int(math.ceil((1.0 - self.u_hi) * m)) + 1    # first fully covered cell
         i_hi = int(math.floor(self.u_hi * m))               # last fully covered cell
         i_lo = min(max(i_lo, 2), m + 1)

@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
 from ._quad import brentq, quad
 from .errors import ConvergenceError, DomainError
 from .special import d_alpha
@@ -185,6 +183,8 @@ class DistributionSpec:
 
 def _map_scalar(rule, x):
     """Map a scalar rule over an array (k_function's t); 0-d gives a float."""
+    import numpy as np
+
     xs = np.asarray(x, dtype=float)
     out = np.array([rule(v) for v in xs.ravel().tolist()]).reshape(xs.shape)
     return out if xs.ndim else float(out)
@@ -273,6 +273,8 @@ class Pareto(DistributionSpec):
     prefix_consistent = True
 
     def ppf(self, u):
+        import numpy as np
+
         # one power per draw, and no data-dependent branch: 2 min(u, 1-u)
         # and the sign of u - 1/2 pick the same operands as the two-sided
         # formula, bit for bit
@@ -331,6 +333,8 @@ class ModifiedPareto(DistributionSpec):
         return 1.0
 
     def m2(self, x):
+        import numpy as np
+
         # the power stays numpy's 0-d one: Python's float ** differs in the
         # last bit on some inputs, and bound_mthm2 integrates this
         x = np.asarray(x, dtype=float)
@@ -404,6 +408,8 @@ class ModifiedPareto(DistributionSpec):
         return RateOrder(-(2.0 - a) / a, case == 2)
 
     def ppf(self, u):
+        import numpy as np
+
         u = np.asarray(u, dtype=float)
         v = 2.0 * np.where(u < 0.5, u, 1.0 - u)
         v = np.clip(v, 1e-300, 1.0)
@@ -466,6 +472,8 @@ class HallTransform(ModifiedPareto):
         self.__post_init__()
 
     def sample(self, rng, size=None):
+        import numpy as np
+
         # |Z| is a mixture: weight 2a uniform on (0,1), weight 2b/(c+1) with
         # density (c+1) z^c; the sign is symmetric.
         scalar = size is None
@@ -538,6 +546,8 @@ class LogPerturbedPareto(DistributionSpec):
         x = float(x)
         if x <= self.x0:
             return 1.0
+        import numpy as np
+
         # np.log, not math.log: the two differ in the last bit on some inputs
         return min(self.K0 * float(np.log(x)) ** self.beta * x ** -self.alpha, 1.0)
 
@@ -589,6 +599,8 @@ class LogPerturbedPareto(DistributionSpec):
         return self.x0 ** gamma + _tail_integral(integrand, self.x0, math.inf)
 
     def ppf(self, u):
+        import numpy as np
+
         u = np.asarray(u, dtype=float)
         v = 2.0 * np.where(u < 0.5, u, 1.0 - u)
         v = np.clip(v, 1e-300, 1.0)
@@ -672,8 +684,8 @@ class GeneralTail(DistributionSpec):
 
     @functools.cached_property
     def mean(self) -> float:
-        pos, _ = quad(self.tail_pos, 0.0, np.inf, limit=400)
-        neg, _ = quad(self.tail_neg, 0.0, np.inf, limit=400)
+        pos, _ = quad(self.tail_pos, 0.0, math.inf, limit=400)
+        neg, _ = quad(self.tail_neg, 0.0, math.inf, limit=400)
         return pos - neg
 
     def describe(self) -> str:
@@ -795,6 +807,8 @@ def abs_tail_moment_zeta(spec: DistributionSpec, n: int, N: float) -> float:
 
 def _k_closed_two_term(spec, n: int, t, N: float):
     """Closed-form K1 from the law's ``k1_power_terms`` (mean zero)."""
+    import numpy as np
+
     alpha = spec.alpha
     ell = spec.ell(n)
     root = ell ** (1.0 / alpha)
@@ -861,6 +875,8 @@ def _discrepancy_quadrature(spec: DistributionSpec, n: int, N: float,
     constant on the support gap (symmetric laws), where the crossing point
     of alpha Kal with that constant has a closed form.
     """
+    import numpy as np
+
     if math.isinf(N):
         raise DomainError("quadrature backend needs finite N")
     alpha = spec.alpha
@@ -997,9 +1013,14 @@ def solve_log_tail_scale(K0: float, x0: float, alpha: float, beta: float,
     beta = 0 is closed form.  Otherwise a fixed-point iteration
     A <- (K0 n (log A)^beta)^{1/alpha} runs to relative step 1e-14 and the
     equation residual is verified; failure raises with the iterate trace.
+    A non-finite K0, x0 or beta raises DomainError, as does K0 <= 0.
     """
-    if K0 <= 0.0:
-        raise DomainError("solve_log_tail_scale requires K0 > 0")
+    if not (0.0 < K0 < math.inf):
+        raise DomainError(f"solve_log_tail_scale requires a finite K0 > 0, got {K0}")
+    if not (math.isfinite(x0) and math.isfinite(beta)):
+        raise DomainError(
+            f"solve_log_tail_scale requires a finite x0 and beta, got x0={x0}, beta={beta}"
+        )
     _count("n", n)
     if not (0.0 < alpha < 2.0):
         raise DomainError(f"alpha must be in (0, 2), got {alpha}")

@@ -55,20 +55,21 @@ seed); the spread of the 20 delete-one-block values is the jackknife error.
 Heavy-tail sums are accumulated chunkwise with exact (Shewchuk) summation
 of the chunk partials, so a rare huge summand cannot wash out the digits of
 the rest.
+
+Loading this module loads neither numpy nor ``concurrent.futures``.  Each
+function that draws or works on arrays imports numpy on its first call,
+and the replicate loop imports the thread pool only when it runs on more
+than one thread, so a command that draws nothing starts without them.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
-from numpy.random import Generator, Philox
 
 from .density import QuantileTable, quantile_table
 from .errors import DomainError, NonFiniteSampleError
@@ -77,7 +78,6 @@ from .kernels import DistributionSpec, _count, check_spec_alpha
 __all__ = [
     "substream",
     "resolve_threads",
-    "sample_summand",
     "sample_stable",
     "sample_sum",
     "SampleBatch",
@@ -111,10 +111,12 @@ def _stream_key(seed: int, kind: int, index: int) -> list:
     return [seed, (kind << _INDEX_BITS) + index]
 
 
-def substream(seed: int, kind: int, index: int = 0) -> Generator:
+def substream(seed: int, kind: int, index: int = 0) -> np.random.Generator:
     """Independent keyed Philox stream for (seed, kind, index)."""
+    import numpy as np
+
     key = np.array(_stream_key(seed, kind, index), dtype=np.uint64)
-    return Generator(Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _restream(seed: int, kind: int):
@@ -154,12 +156,7 @@ def resolve_threads() -> int:
     return 1
 
 
-def sample_summand(spec: DistributionSpec, rng: Generator, size=None):
-    """Draw from the summand law using the given stream."""
-    return spec.sample(rng, size)
-
-
-def sample_stable(alpha: float, rng: Generator, size=None):
+def sample_stable(alpha: float, rng: np.random.Generator, size=None):
     """Exact draws from the stable target with cf e^{-|l|^alpha}.
 
     Polar method: U uniform on (-pi/2, pi/2), W standard exponential,
@@ -168,6 +165,8 @@ def sample_stable(alpha: float, rng: Generator, size=None):
 
     reducing to tan(U) at alpha = 1.
     """
+    import numpy as np
+
     if not (0.0 < alpha < 2.0):
         raise DomainError(f"sample_stable requires alpha in (0, 2), got {alpha}")
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)
@@ -232,6 +231,8 @@ def _one_fit():
 
 def _compensated_row_sums(x: np.ndarray) -> np.ndarray:
     """Row sums with exact combination of chunk partials."""
+    import numpy as np
+
     n = x.shape[1]
     if n <= _CHUNK:
         return x.sum(axis=1)
@@ -246,6 +247,8 @@ def _sample_sums(spec: DistributionSpec, ns: Sequence[int], m: int, seed: int) -
     family draws each replicate once, at max(ns), and every n sums a prefix
     of the same row; other families draw once per n.
     """
+    import numpy as np
+
     ns = [_count("n", n) for n in ns]
     m = _count("m", m)
     alpha = spec.alpha
@@ -271,6 +274,8 @@ def _sample_sums(spec: DistributionSpec, ns: Sequence[int], m: int, seed: int) -
 
     workers = resolve_threads()
     if workers > 1 and m >= 4 * workers:
+        from concurrent.futures import ThreadPoolExecutor
+
         bounds_idx = np.linspace(0, m, workers + 1).astype(int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda i: run_range(bounds_idx[i], bounds_idx[i + 1]),
@@ -316,6 +321,8 @@ class EmpiricalW1Result:
 
 def _one_sample_value(sorted_vals: np.ndarray, table: QuantileTable) -> float:
     """integral of |F_m^{-1}(u) - Q(u)| du for a sorted sample."""
+    import numpy as np
+
     m = sorted_vals.size
     alpha, tail_c = table.alpha, table.tail_c
     # a Gauss rule on the cells the table covers; the first and last cell
@@ -358,6 +365,8 @@ def _one_sample_value(sorted_vals: np.ndarray, table: QuantileTable) -> float:
 
 def _jackknife_blocks(m: int, seed: int) -> np.ndarray:
     """Deterministic random assignment of ranks to _JACKKNIFE_K blocks."""
+    import numpy as np
+
     rng = substream(seed, STREAM_BLOCKS, 0)
     k = _JACKKNIFE_K
     labels = np.repeat(np.arange(k), (m + k - 1) // k)[:m]
@@ -380,6 +389,8 @@ def _bias_floors(tab: QuantileTable, seed: int, blocks: np.ndarray) -> tuple:
     the median of a few draws is used: it matches the typical realization,
     where the mean would over-correct and clamp genuine signal to zero.
     """
+    import numpy as np
+
     m = blocks.size
     samples = [np.sort(sample_stable(tab.alpha, substream(seed, STREAM_FLOOR_A, j), m))
                for j in range(_FLOOR_BATCHES)]
@@ -399,6 +410,8 @@ def empirical_w1(batch: SampleBatch, estimator: str = "bias_corrected") -> Empir
     """Empirical W1 distance between the batch and the stable target of its
     alpha: the estimator's statistic on every replicate, with the
     delete-one-block jackknife error that all three estimators share."""
+    import numpy as np
+
     m = batch.m
     _check_w1_args(m, estimator)
     alpha = batch.alpha
@@ -465,6 +478,8 @@ def fit_rate(spec: DistributionSpec, alpha: float, n_grid: Sequence[int], m: int
     are computed at the first grid point and reused.  The slope is fitted
     on the log of each n as an int (see ``sample_sum``).
     """
+    import numpy as np
+
     if len(n_grid) < 4:
         raise DomainError("fit_rate needs at least 4 grid points")
     n_grid = [_count("n", n) for n in n_grid]

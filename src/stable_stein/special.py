@@ -31,8 +31,6 @@ from __future__ import annotations
 import functools
 import math
 
-import numpy as np
-
 from ._quad import panel_nodes
 from .errors import DomainError
 
@@ -161,6 +159,8 @@ def d_alpha_quadrature(alpha: float) -> float:
     half-period-aligned panels out to y = 640 plus an integration-by-parts
     tail.
     """
+    import numpy as np
+
     if not (0.0 < alpha < 2.0):
         raise DomainError(f"d_alpha_quadrature requires alpha in (0, 2), got {alpha}")
     # inner: sum_{k>=1} (-1)^(k+1) / ((2k)! (2k - alpha))

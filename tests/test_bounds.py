@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from stable_stein.bounds import (
     bound_main,
     bound_mthm2,
-    bound_total_slope,
     default_truncation,
     example2_bound,
     figure_gamma_curves,
@@ -30,6 +29,7 @@ from stable_stein.kernels import (
 )
 from stable_stein.special import D_alpha, D_alpha_gamma, d_alpha
 
+from bound_slope import bound_total_slope
 from reference_tables import BOUND_ANCHOR_CELLS
 
 
@@ -362,7 +362,7 @@ class TestBoundedMinimizerParity:
         monkeypatch.setattr(bnd, "_minimize_bounded", recording)
         optimize_gamma(PERFBENCH_FAMILIES[family](), 1.5, n, "auto")
         (func, a, b, (x, fx)), = seen
-        assert type(a) is type(b) is np.float64      # the scan's grid points
+        assert type(a) is type(b) is float      # the scan's grid points
         want_x, want_fun, _ = self.scipy_bounded(func, a, b)
         assert (x, fx) == (want_x, want_fun)
 
@@ -376,6 +376,41 @@ class TestBoundedMinimizerParity:
         want_x, want_fun, nfev = self.scipy_bounded(func, a, b)
         assert nfev == 500          # stopped by the cap, not the tolerance
         assert _minimize_bounded(func, a, b) == (want_x, want_fun)
+
+    def test_scan_grid_is_linspace(self):
+        from stable_stein.bounds import _GAMMA_SCAN
+
+        assert list(_GAMMA_SCAN) == np.linspace(0.01, 0.99, 99).tolist()
+        assert all(type(g) is float for g in _GAMMA_SCAN)
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_step_sign_is_scipys(self, kind):
+        from stable_stein.bounds import _step_sign
+
+        for r in (2.5, -2.5, 0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan):
+            r = kind(r)
+            got, want = _step_sign(r), np.sign(r) + (r == 0)
+            assert got == want or (math.isnan(got) and math.isnan(want)), r
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    @pytest.mark.parametrize("func,a,b,zero_step", [
+        (lambda x: (x - 0.1) ** 2, 0.0, 1.0, True),     # a parabola step of exactly 0
+        (lambda x: x, 0.0, 1.0, False),                 # minimum at the lower edge
+        (lambda x: -x, -3.0, 2.0, False),               # minimum at the upper edge
+        (lambda x: abs(x - 0.3), 0.0, 1.0, False),      # a kink
+        (lambda x: 1.0, 0.0, 1.0, False),               # flat: golden steps only
+    ], ids=["zero-step", "lower-edge", "upper-edge", "kink", "flat"])
+    def test_steps_match_scipy(self, func, a, b, zero_step, kind, monkeypatch):
+        import stable_stein.bounds as bnd
+
+        steps = []
+        real = bnd._step_sign
+        monkeypatch.setattr(bnd, "_step_sign", lambda r: steps.append(r) or real(r))
+        x, fx = bnd._minimize_bounded(func, kind(a), kind(b))
+        want_x, want_fun, _ = self.scipy_bounded(func, kind(a), kind(b))
+        assert (x, fx) == (want_x, want_fun)
+        assert type(x) is kind          # the arithmetic keeps the bounds' type
+        assert (0.0 in steps) is zero_step
 
 
 class TestOptimizeGamma:
@@ -394,7 +429,7 @@ class TestOptimizeGamma:
 
         scan = _holder_scan(alpha)
         assert len(scan) == len(_GAMMA_SCAN) == 99
-        for g, d in zip(_GAMMA_SCAN.tolist(), scan):
+        for g, d in zip(_GAMMA_SCAN, scan):
             assert d == D_alpha_gamma(alpha, g)
             assert d == D_alpha_gamma(np.float64(alpha), g)
 

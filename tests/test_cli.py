@@ -212,6 +212,21 @@ class TestOtherCommands:
         assert obj["A_n"] == pytest.approx((2.0 * 10 ** 6) ** (1 / 1.5))
         assert obj["residual"] <= 1e-10
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--K0", "nan"), ("--K0", "inf"), ("--x0", "nan"), ("--x0", "inf"),
+        ("--beta", "nan"), ("--beta", "inf"),
+    ])
+    def test_an_solver_non_finite_input_is_numeric_failure(self, flag, value, capsys):
+        flags = {"--K0": "2", "--x0": "3", "--beta": "1", flag: value}
+        rc = main(["an-solver"] + [tok for pair in flags.items() for tok in pair])
+        assert rc == 1
+
+        def reject(name):
+            raise AssertionError(f"non-strict JSON constant {name}")
+
+        obj = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert obj["error"] == "DomainError" and "finite" in obj["message"]
+
     def test_out_file(self, tmp_path):
         out = tmp_path / "t1.csv"
         r = run_cli("constants", "--table", "1", "--out", str(out))
@@ -596,6 +611,67 @@ class TestScipyFreeStartup:
         """)
         assert r.returncode == 0, r.stderr
         assert json.loads(r.stdout) == {"same": True, "rows": 3, "scipy": False}
+
+
+class TestNumpyOnFirstUse:
+    """The commands that need no array start and run without loading numpy."""
+
+    SCALAR_COMMANDS = [
+        ["constants"],
+        ["table3", "--n", "1000000"],
+        ["bound", "--spec", "pareto", "--alpha", "1.5", "--gamma", "0.5", "--n", "1000000"],
+        ["bound", "--spec", "modified-pareto", "--beta", "4", "--alpha", "1.5",
+         "--gamma", "0.5", "--n", "1000000"],
+        ["bound", "--spec", "hall", "--A", "0.6", "--c", "0.2", "--alpha", "1.5",
+         "--gamma", "0.5", "--n", "1000000"],
+        ["rate-order", "--spec", "hall", "--A", "0.6", "--c", "0.2", "--alpha", "1.5"],
+        ["an-solver", "--K0", "2", "--x0", "3", "--alpha", "1.5", "--beta", "1",
+         "--n", "1000000"],
+        ["figure1", "--n", "1000000"],
+    ]
+    # the log-perturbed tail keeps np.log, the density grid is an array and
+    # simulate draws arrays: these load numpy on their first call
+    ARRAY_COMMANDS = [
+        ["density", "--alpha", "1.5", "--xmax", "5", "--step", "0.1"],
+        ["simulate", "--spec", "pareto", "--alpha", "1.5", "--n", "1000", "--m", "2000",
+         "--seed", "1"],
+        ["bound", "--spec", "log-pareto", "--beta", "1", "--x0", "5", "--alpha", "1.5",
+         "--gamma", "0.5", "--n", "1000000"],
+    ]
+
+    def test_scalar_commands_load_no_numpy(self):
+        r = run_fresh(f"""
+            import contextlib, io, json, sys
+
+            def numpy_modules():
+                return sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+
+            import stable_stein
+            report = {{"import stable_stein": [0, numpy_modules()]}}
+            import stable_stein.cli
+            report["import stable_stein.cli"] = [0, numpy_modules()]
+            threads = "concurrent.futures" in sys.modules
+            for argv in {self.SCALAR_COMMANDS!r}:
+                with contextlib.redirect_stdout(io.StringIO()), \\
+                        contextlib.redirect_stderr(io.StringIO()):
+                    rc = stable_stein.cli.main(argv)
+                report[" ".join(argv)] = [rc, numpy_modules()]
+            arrays = []
+            for argv in {self.ARRAY_COMMANDS!r}:
+                with contextlib.redirect_stdout(io.StringIO()), \\
+                        contextlib.redirect_stderr(io.StringIO()):
+                    arrays.append(stable_stein.cli.main(argv))
+            print(json.dumps({{"report": report, "threads": threads, "arrays": arrays,
+                              "numpy": "numpy" in sys.modules}}))
+        """)
+        assert r.returncode == 0, r.stderr
+        out = json.loads(r.stdout)
+        report = out["report"]
+        assert len(report) == 2 + len(self.SCALAR_COMMANDS)
+        assert report == {step: [0, []] for step in report}
+        # the thread pool is imported only by a run on more than one thread
+        assert out["threads"] is False
+        assert out["arrays"] == [0] * len(self.ARRAY_COMMANDS) and out["numpy"] is True
 
 
 class TestInProcessMain:

@@ -1,6 +1,6 @@
 """Every exported name resolves: each module's ``__all__``, the package and
-the names the benchmark's tracer wraps; and no module of the package
-imports scipy."""
+the names the benchmark's tracer wraps; no module of the package imports
+scipy, and none imports numpy when it loads."""
 
 import ast
 import importlib
@@ -33,22 +33,44 @@ def test_package_namespace_resolves():
                 assert getattr(stable_stein, attr) is getattr(module, attr)
 
 
-def test_no_module_imports_scipy():
-    # scipy is a test-only dependency: the fresh-interpreter start-up tests
-    # run the commands, this catches an import on a path they do not reach
+def _package_imports(load_time_only=False):
+    """(file:line, module) for each import statement under the package; with
+    ``load_time_only``, only those that run when the module loads, that is,
+    all but the ones inside a function body."""
     src = Path(stable_stein.__file__).parent
+    paths = sorted(src.glob("*.py"))
+    assert len(paths) >= 10
     found = []
-    for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for path in paths:
+        stack = [ast.parse(path.read_text(), filename=str(path))]
+        while stack:
+            node = stack.pop()
+            if load_time_only and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            stack.extend(ast.iter_child_nodes(node))
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names = [node.module or ""]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno} {name}" for name in names
-                      if name.split(".")[0] == "scipy"]
-    assert len(list(src.glob("*.py"))) >= 10 and found == []
+            found += [(f"{path.name}:{node.lineno}", name) for name in names]
+    return found
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test-only dependency: the fresh-interpreter start-up tests
+    # run the commands, this catches an import on a path they do not reach
+    assert [where for where, name in _package_imports()
+            if name.split(".")[0] == "scipy"] == []
+
+
+def test_no_module_imports_numpy_when_it_loads():
+    # numpy is imported on first use, inside the functions that need arrays,
+    # so the scalar commands start without it (TestNumpyOnFirstUse in
+    # tests/test_cli.py); a module-level import would undo that for all
+    assert [where for where, name in _package_imports(load_time_only=True)
+            if name.split(".")[0] == "numpy"] == []
 
 
 def test_benchmark_hooks_resolve(monkeypatch):

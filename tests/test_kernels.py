@@ -567,6 +567,15 @@ class TestLogTailThreshold:
         assert sol.value == pytest.approx(want, rel=1e-9)
         assert sol.residual <= 1e-10
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["K0", "x0", "beta"])
+    def test_non_finite_input_rejected(self, which, bad):
+        # a NaN K0 or x0 slipped past every comparison and came back as the
+        # threshold; an infinite K0 gave A_n = inf
+        args = {"K0": 2.0, "x0": 3.0, "beta": 0.0, which: bad}
+        with pytest.raises(DomainError, match="finite"):
+            solve_log_tail_scale(args["K0"], args["x0"], 1.5, args["beta"], 10 ** 6)
+
     def test_monotone_in_n(self):
         vals = [solve_log_tail_scale(2.0, 3.0, 1.5, 1.0, n).value
                 for n in [10 ** 3, 2 * 10 ** 3, 10 ** 4, 10 ** 6]]

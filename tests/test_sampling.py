@@ -17,7 +17,6 @@ from stable_stein.sampling import (
     fit_rate,
     sample_stable,
     sample_sum,
-    sample_summand,
     substream,
 )
 from stable_stein.sampling import _restream
@@ -84,7 +83,7 @@ class TestSummandSamplers:
     ])
     def test_marginal_tails(self, make):
         spec = make()
-        xs = sample_summand(spec, substream(5, 5, 1), 200000)
+        xs = spec.sample(substream(5, 5, 1), 200000)
         probes = [1.5, 2.0, 5.0, 10.0, 20.0] if spec.support_radius <= 1.0 \
             else [6.0, 8.0, 15.0, 40.0, 100.0]
         for x in probes:
@@ -93,13 +92,13 @@ class TestSummandSamplers:
             assert abs(float(np.mean(np.abs(xs) > x)) - p) <= 3.0 * se, x
 
     def test_pareto_mean_zero(self):
-        xs = sample_summand(Pareto(1.5), substream(5, 5, 2), 10 ** 6)
+        xs = Pareto(1.5).sample(substream(5, 5, 2), 10 ** 6)
         se = float(np.std(xs) / math.sqrt(xs.size))
         assert abs(float(np.mean(xs))) <= 3.0 * se
 
     def test_momest_monte_carlo(self):
         spec = Pareto(1.5)
-        xs = sample_summand(spec, substream(5, 5, 3), 10 ** 6)
+        xs = spec.sample(substream(5, 5, 3), 10 ** 6)
         for t in [0.5, 2.0, 5.0]:
             vals = xs * (xs > t)
             closed = 1.5 / (2.0 * 0.5) * max(t, 1.0) ** -0.5
