@@ -36,6 +36,9 @@ N = inf is a first-class value: it is accepted exactly when every term has a
 finite analytic limit (plain power law always; the two-term family only for
 second exponent beta > 2), and rejected otherwise.
 
+Every bound rejects alpha outside the one window [1.01, 1.99] of
+``special.check_alpha_window``; the figure's alpha grid, 1.01 to 1.99, lies in it.
+
 Everything here runs on Python floats, the optimal-gamma scan and its
 bounded Brent refinement included, so a bound, a table or the figure loads
 numpy only where a summand law's own rule needs an array function (the
@@ -64,7 +67,6 @@ from .kernels import (
     solve_log_tail_scale,
 )
 from .special import (
-    DEFAULT_ALPHA_LIMITS,
     D_alpha,
     D_alpha_gamma,
     check_alpha_window,
@@ -148,8 +150,8 @@ class Example2Report(SteinBoundReport):
 # helpers
 # ---------------------------------------------------------------------------
 
-def _validate_bound_args(alpha, gamma, n, N, alpha_limits=DEFAULT_ALPHA_LIMITS):
-    check_alpha_window(alpha, alpha_limits)
+def _validate_bound_args(alpha, gamma, n, N):
+    check_alpha_window(alpha)
     if not (0.0 < gamma < 1.0):
         raise DomainError(f"gamma must lie in (0, 1), got {gamma}")
     _count("n", n)
@@ -174,7 +176,7 @@ def default_truncation(spec: DistributionSpec, n: int):
 # ---------------------------------------------------------------------------
 
 def _assemble(spec: DistributionSpec, alpha: float, n: int, N: float, gamma: float,
-              truncation, alpha_limits=DEFAULT_ALPHA_LIMITS) -> SteinBoundReport:
+              truncation) -> SteinBoundReport:
     """The bound whose truncation term at finite N is
     ``truncation(spec, alpha, n, N, n_term)``.
 
@@ -183,7 +185,7 @@ def _assemble(spec: DistributionSpec, alpha: float, n: int, N: float, gamma: flo
     admits it, the truncation and N terms take their limit 0.
     """
     check_spec_alpha(spec, alpha)
-    _validate_bound_args(alpha, gamma, n, N, alpha_limits)
+    _validate_bound_args(alpha, gamma, n, N)
     if math.isinf(N) and not spec.supports_infinite_truncation:
         raise DomainError(
             f"N = inf is not admissible for {spec.describe()}: "
@@ -262,14 +264,14 @@ def _tail_model_truncation(spec, alpha, n, N, n_term):
     return piece - n_term
 
 
-def bound_main(spec: DistributionSpec, alpha: float, n: int, N: float, gamma: float,
-               *, alpha_limits=DEFAULT_ALPHA_LIMITS) -> SteinBoundReport:
+def bound_main(spec: DistributionSpec, alpha: float, n: int, N: float,
+               gamma: float) -> SteinBoundReport:
     """First assembly: exact per-law truncation accounting.
 
     N may be inf when the law supports it (every term then takes its
     analytic limit).
     """
-    return _assemble(spec, alpha, n, N, gamma, _exact_truncation, alpha_limits)
+    return _assemble(spec, alpha, n, N, gamma, _exact_truncation)
 
 
 def bound_mthm2(spec: DistributionSpec, alpha: float, n: int, N: float,
@@ -288,7 +290,7 @@ def bound_mthm2(spec: DistributionSpec, alpha: float, n: int, N: float,
 # rate classification
 # ---------------------------------------------------------------------------
 
-def rate_order(spec: DistributionSpec, alpha: Optional[float] = None) -> RateOrder:
+def rate_order(spec: DistributionSpec) -> RateOrder:
     """Leading decay order of the assembled bound for a summand family.
 
     Plain power law and two-term beta > 2: n^{-(2-alpha)/alpha}.
@@ -298,8 +300,6 @@ def rate_order(spec: DistributionSpec, alpha: Optional[float] = None) -> RateOrd
     Log-perturbed tails: (log n)^{-(1-1/alpha)}.
     Anything else is reported unclassified, not guessed.
     """
-    if alpha is not None:
-        check_spec_alpha(spec, alpha)
     return spec.rate_order()
 
 
@@ -463,8 +463,7 @@ def _holder_scan(alpha: float) -> tuple:
     return tuple(D_alpha_gamma(alpha, g) for g in _GAMMA_SCAN)
 
 
-def optimize_gamma(spec: DistributionSpec, alpha: float, n: int, N,
-                   *, alpha_limits=DEFAULT_ALPHA_LIMITS):
+def optimize_gamma(spec: DistributionSpec, alpha: float, n: int, N):
     """Minimize the bound total over gamma.
 
     A 99-point scan locates the basin and a bounded scalar minimization
@@ -477,7 +476,7 @@ def optimize_gamma(spec: DistributionSpec, alpha: float, n: int, N,
         N = default_truncation(spec, n)
 
     # everything except the gamma term is gamma-independent; assemble once
-    base = bound_main(spec, alpha, n, N, 0.5, alpha_limits=alpha_limits)
+    base = bound_main(spec, alpha, n, N, 0.5)
     fixed = base.total - base.gamma_term
     ell_pow = spec.ell(n) ** (-1.0 / alpha)
 
@@ -517,29 +516,14 @@ FIGURE_CASES = (
 )
 
 
-def figure_gamma_curves(n: int = 10 ** 6, alphas: Optional[Sequence[float]] = None) -> list:
+def figure_gamma_curves(n: int = 10 ** 6) -> list:
     """Rows (alpha, gamma*_case1..4): optimal gamma for the four reference
-    configurations, alpha on the grid 1 + j/100, j = 1..99 by default."""
-    from concurrent.futures import ThreadPoolExecutor
+    configurations, alpha on the grid 1 + j/100, j = 1..99, on one thread
+    (the optimizer runs on Python floats, so threads would share the GIL)."""
+    def one_row(a: float) -> tuple:
+        return (a,) + tuple(optimize_gamma(spec, a, n, "auto")[0] for spec in _figure_specs(a))
 
-    from .sampling import resolve_threads
-
-    if alphas is None:
-        alphas = [1.0 + j / 100.0 for j in range(1, 100)]
-    limits = (min(1.005, min(alphas) - 1e-9), max(1.995, max(alphas) + 1e-9))
-
-    def one_row(a: float):
-        out = [a]
-        for spec in _figure_specs(a):
-            g_star, _ = optimize_gamma(spec, a, n, "auto", alpha_limits=limits)
-            out.append(g_star)
-        return tuple(out)
-
-    workers = resolve_threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one_row, alphas))
-    return [one_row(a) for a in alphas]
+    return [one_row(1.0 + j / 100.0) for j in range(1, 100)]
 
 
 # ---------------------------------------------------------------------------

@@ -511,7 +511,8 @@ def main(argv: Optional[list] = None) -> int:
     _echo_config(args)
     try:
         lines = _DISPATCH[args.command](args)
-    except (DomainError, ConvergenceError, NonFiniteSampleError, ValueError) as exc:
+    except (DomainError, ConvergenceError, NonFiniteSampleError, ValueError,
+            ArithmeticError) as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ConvergenceError):
             err.update(partial=_strict_json(exc.partial),

@@ -195,6 +195,14 @@ def _check_alpha_12(alpha, who):
         raise DomainError(f"{who} requires alpha in (1, 2), got {alpha}")
 
 
+def _check_finite(who, **params):
+    """Reject a NaN or infinite law parameter (None, one left out, passes);
+    a NaN would pass every range check, as every comparison with it is false."""
+    for name, value in params.items():
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{who} requires a finite {name}, got {value}")
+
+
 def _count(name: str, value) -> int:
     """A positive count given as an int or an integral float, as an int."""
     try:
@@ -301,6 +309,7 @@ class ModifiedPareto(DistributionSpec):
     B: float
 
     def __post_init__(self):
+        _check_finite("ModifiedPareto", beta=self.beta, A=self.A, B=self.B)
         _check_alpha_12(self.alpha, "ModifiedPareto")
         if not (self.beta > self.alpha):
             raise DomainError(f"ModifiedPareto requires beta > alpha, got beta={self.beta}")
@@ -457,6 +466,7 @@ class HallTransform(ModifiedPareto):
     c: float
 
     def __init__(self, a: float, b: float, c: float, alpha: float):
+        _check_finite("HallTransform", a=a, b=b, c=c)
         _check_alpha_12(alpha, "HallTransform")
         if a <= 0.0 or b < 0.0 or c <= 0.0:
             raise DomainError("HallTransform requires a > 0, b >= 0, c > 0")
@@ -510,11 +520,14 @@ class LogPerturbedPareto(DistributionSpec):
     x0: Optional[float] = None
 
     def __post_init__(self):
+        _check_finite("LogPerturbedPareto", beta=self.beta, K0=self.K0, x0=self.x0)
         _check_alpha_12(self.alpha, "LogPerturbedPareto")
         object.__setattr__(self, "_thresholds", {})     # n -> A_n
         K0, x0 = self.K0, self.x0
         if K0 is None and x0 is None:
             raise DomainError("LogPerturbedPareto needs K0 or x0")
+        if K0 is not None and not K0 > 0.0:
+            raise DomainError(f"LogPerturbedPareto requires K0 > 0, got {K0}")
         if x0 is None:
             # solve x0^alpha = K0 (log x0)^beta for x0 > max(e, e^{beta/alpha})
             lo = math.exp(max(1.0, self.beta / self.alpha)) * (1.0 + 1e-9)
@@ -646,6 +659,7 @@ class GeneralTail(DistributionSpec):
     m2_fn: Callable[[float], float]
 
     def __post_init__(self):
+        _check_finite("GeneralTail", theta_scale=self.theta_scale, A_thresh=self.A_thresh)
         _check_alpha_12(self.alpha, "GeneralTail")
         if self.theta_scale <= 0.0 or self.A_thresh <= 0.0:
             raise DomainError("GeneralTail requires theta_scale > 0 and A_thresh > 0")
@@ -844,21 +858,17 @@ def _k_quadrature(spec, n: int, t: float, N: float) -> float:
     return max(val, 0.0)
 
 
-def k_function(spec: DistributionSpec, alpha: float, n: int, t, N: float,
-               backend: str = "auto"):
+def k_function(spec: DistributionSpec, alpha: float, n: int, t, N: float):
     """Truncated K function of one normalized summand.
 
     A law with ``k1_power_terms`` has the closed form; anything else goes
-    through the tail-integral identity.  ``backend`` is "auto" or
-    "quadrature", which forces the identity.
+    through the tail-integral identity (``_k_quadrature``).
     """
     check_spec_alpha(spec, alpha)
     _count("n", n)
     if not (N > 0.0):
         raise DomainError(f"k_function requires N > 0, got {N}")
-    if backend not in ("auto", "quadrature"):
-        raise DomainError(f"unknown backend {backend!r}")
-    if backend == "auto" and spec.k1_power_terms is not None:
+    if spec.k1_power_terms is not None:
         return _k_closed_two_term(spec, n, t, N)
     return _map_scalar(lambda tt: _k_quadrature(spec, n, tt, N), t)
 
@@ -867,8 +877,7 @@ def k_function(spec: DistributionSpec, alpha: float, n: int, t, N: float,
 # L1 discrepancy
 # ---------------------------------------------------------------------------
 
-def _discrepancy_quadrature(spec: DistributionSpec, n: int, N: float,
-                            tol: float = 1e-6) -> float:
+def _discrepancy_quadrature(spec: DistributionSpec, n: int, N: float) -> float:
     """(1/alpha) int_{-N}^{N} |alpha Kal - n K1| dt by panelized quadrature.
 
     The integrable singularity at t = 0 is handled analytically: K1 is
@@ -934,7 +943,7 @@ def _discrepancy_quadrature(spec: DistributionSpec, n: int, N: float,
                               math.log(a_lim), math.log(b_lim), limit=400)
             total_val += abs(piece)
             total_err += err
-        if total_err > 1e-9 + tol * abs(total_val):
+        if total_err > 1e-9 + 1e-6 * abs(total_val):
             raise ConvergenceError(
                 f"discrepancy quadrature reached only {total_err:.2e}",
                 partial=total_val, achieved_tol=total_err,

@@ -44,8 +44,8 @@ __all__ = [
     "DEFAULT_ALPHA_LIMITS",
 ]
 
-# Bound-producing callers reject alpha outside this window by default: the
-# constants blow up near 1 and the kernel algebra degenerates near 2.
+# Every bound rejects alpha outside this closed window: the constants blow up
+# near 1 and the kernel algebra degenerates near 2.
 DEFAULT_ALPHA_LIMITS = (1.01, 1.99)
 
 # Rational (Lanczos) approximation, g = 7, 9 terms.  Relative error is below
@@ -215,12 +215,11 @@ def _holder_prefactor(alpha: float) -> float:
     return d_alpha(alpha) / alpha * bracket
 
 
-def check_alpha_window(alpha: float, limits=DEFAULT_ALPHA_LIMITS) -> None:
-    """Reject alpha outside the configurable window used by bound producers."""
-    lo, hi = limits
+def check_alpha_window(alpha: float) -> None:
+    """Reject alpha outside DEFAULT_ALPHA_LIMITS, the window of every bound."""
+    lo, hi = DEFAULT_ALPHA_LIMITS
     if not (lo <= alpha <= hi):
         raise DomainError(
             f"alpha={alpha} outside the accepted window [{lo}, {hi}]; "
-            "the bound constants diverge toward alpha=1 "
-            "(pass wider alpha_limits to override)"
+            "the bound constants diverge toward alpha=1"
         )

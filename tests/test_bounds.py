@@ -96,8 +96,9 @@ class TestBoundMain:
             bound_main(LogPerturbedPareto(1.5, 1.0, x0=5.0), 1.5, 1000, math.inf, 0.5)
 
     def test_alpha_window(self):
-        with pytest.raises(DomainError):
-            bound_main(Pareto(1.5), 1.5, 100, math.inf, 0.5, alpha_limits=(1.6, 1.99))
+        # a valid law whose alpha lies below the window [1.01, 1.99]
+        with pytest.raises(DomainError, match="window"):
+            bound_main(Pareto(1.005), 1.005, 100, math.inf, 0.5)
 
     def test_gamma_domain(self):
         with pytest.raises(DomainError):
@@ -450,27 +451,33 @@ class TestOptimizeGamma:
             optimize_gamma(make(), other, 10 ** 6, N)
             assert repr(optimize_gamma(make(), alpha, 10 ** 6, N)) == want
 
-    def test_scan_memo_filled_by_racing_threads(self, monkeypatch):
+    def test_scan_memo_filled_by_racing_threads(self):
         import sys
+        from concurrent.futures import ThreadPoolExecutor
 
-        from stable_stein.bounds import _holder_scan
+        from stable_stein.bounds import _figure_specs, _holder_scan
 
-        monkeypatch.setenv("STABLE_STEIN_THREADS", "1")
-        want = figure_gamma_curves(n=10 ** 6, alphas=[1.5])[0]
+        specs = _figure_specs(1.5) * 2
+
+        def run(spec):
+            return optimize_gamma(spec, 1.5, 10 ** 6, "auto")
+
+        want = [run(spec) for spec in specs]
         interval = sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-6)
             _holder_scan.cache_clear()
-            monkeypatch.setenv("STABLE_STEIN_THREADS", "4")
-            rows = figure_gamma_curves(n=10 ** 6, alphas=[1.5] * 8)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                raced = list(pool.map(run, specs))
         finally:
             sys.setswitchinterval(interval)
-        assert rows == [want] * 8
+        assert raced == want
 
     def test_figure_rows_shape(self):
-        rows = figure_gamma_curves(n=10 ** 6, alphas=[1.3, 1.6])
-        assert len(rows) == 2
+        rows = figure_gamma_curves(n=10 ** 6)
+        assert len(rows) == 99
         assert all(len(r) == 5 for r in rows)
+        assert [r[0] for r in rows] == [1.0 + j / 100.0 for j in range(1, 100)]
         assert all(0.0 < g < 1.0 for r in rows for g in r[1:])
 
 
@@ -520,8 +527,7 @@ class TestReportInvariants:
            st.integers(min_value=10, max_value=10 ** 7))
     @settings(max_examples=60, deadline=None)
     def test_assembly_and_positivity(self, alpha, gamma, n):
-        rep = bound_main(Pareto(alpha), alpha, n, math.inf, gamma,
-                         alpha_limits=(1.04, 1.96))
+        rep = bound_main(Pareto(alpha), alpha, n, math.inf, gamma)
         assembled = D_alpha(alpha) * rep.discrepancy_term + rep.truncation_term \
             + rep.N_term + rep.gamma_term
         assert rep.total == pytest.approx(assembled, rel=1e-14)

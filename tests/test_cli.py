@@ -473,6 +473,38 @@ class TestConvergenceErrorReport:
         assert obj["trace"] == []
 
 
+class TestNoRawTraceback:
+    """Non-finite law parameters, and arithmetic that overflows or divides by
+    zero, end in one strict-JSON error object, never in a traceback."""
+
+    ARGVS = [
+        ["bound", "--spec", "modified-pareto", "--beta", "4", "--A", "nan", "--B", "1"],
+        ["bound", "--spec", "hall", "--c", "5", "--A", "1e-300", "--B", "nan", "--n", "1"],
+        ["bound", "--spec", "modified-pareto", "--beta", "inf"],
+        ["bound", "--spec", "log-pareto", "--alpha", "1.99", "--K0", "-1", "--beta", "5",
+         "--n", "1000", "--N", "1.99"],
+        ["rate-order", "--spec", "log-pareto", "--K0", "1e300", "--x0", "nan", "--beta", "1e6"],
+        ["density", "--alpha", "1e-300", "--xmax", "0", "--step", "1"],
+        ["rate-order", "--spec", "modified-pareto", "--alpha", "1e6", "--beta", "0",
+         "--B", "4"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_json_error_object(self, argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (1, 2)
+
+        def reject(name):
+            raise AssertionError(f"non-strict JSON constant {name}")
+
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert "error" in json.loads(lines[0], parse_constant=reject)
+
+
 def run_fresh(code):
     """Run ``code`` in a fresh interpreter that imports the package from src."""
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -596,22 +628,6 @@ class TestScipyFreeStartup:
         assert len(report) == len(commands) + 1
         assert report == {step: [0, []] for step in report}
 
-    def test_threaded_figure_matches_serial_without_scipy(self):
-        r = run_fresh("""
-            import json, os, sys
-            from stable_stein.bounds import figure_gamma_curves
-
-            assert "scipy" not in sys.modules
-            os.environ["STABLE_STEIN_THREADS"] = "2"
-            threaded = figure_gamma_curves(alphas=[1.3, 1.5, 1.7])
-            os.environ["STABLE_STEIN_THREADS"] = "1"
-            serial = figure_gamma_curves(alphas=[1.3, 1.5, 1.7])
-            print(json.dumps({"same": threaded == serial, "rows": len(threaded),
-                              "scipy": "scipy" in sys.modules}))
-        """)
-        assert r.returncode == 0, r.stderr
-        assert json.loads(r.stdout) == {"same": True, "rows": 3, "scipy": False}
-
 
 class TestNumpyOnFirstUse:
     """The commands that need no array start and run without loading numpy."""
@@ -650,12 +666,12 @@ class TestNumpyOnFirstUse:
             report = {{"import stable_stein": [0, numpy_modules()]}}
             import stable_stein.cli
             report["import stable_stein.cli"] = [0, numpy_modules()]
-            threads = "concurrent.futures" in sys.modules
             for argv in {self.SCALAR_COMMANDS!r}:
                 with contextlib.redirect_stdout(io.StringIO()), \\
                         contextlib.redirect_stderr(io.StringIO()):
                     rc = stable_stein.cli.main(argv)
                 report[" ".join(argv)] = [rc, numpy_modules()]
+            threads = "concurrent.futures" in sys.modules
             arrays = []
             for argv in {self.ARRAY_COMMANDS!r}:
                 with contextlib.redirect_stdout(io.StringIO()), \\
@@ -669,7 +685,7 @@ class TestNumpyOnFirstUse:
         report = out["report"]
         assert len(report) == 2 + len(self.SCALAR_COMMANDS)
         assert report == {step: [0, []] for step in report}
-        # the thread pool is imported only by a run on more than one thread
+        # figure1 included: no scalar command imports a thread pool
         assert out["threads"] is False
         assert out["arrays"] == [0] * len(self.ARRAY_COMMANDS) and out["numpy"] is True
 

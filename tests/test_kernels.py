@@ -207,6 +207,44 @@ class TestSummandLaws:
         assert spec.abs_central_moment(0.5) == pytest.approx(expect, rel=1e-14)
 
 
+# one valid parameter set per family constructor (LogPerturbedPareto twice:
+# given x0, and given K0); the tail functions of GeneralTail are not numbers
+VALID_LAW_PARAMS = [
+    (Pareto, dict(alpha=1.5)),
+    (ModifiedPareto, dict(alpha=1.5, beta=4.0, A=12.0 / 11.0, B=12.0 / 11.0)),
+    (HallTransform, dict(a=0.3, b=0.24, c=0.2, alpha=1.5)),
+    (LogPerturbedPareto, dict(alpha=1.5, beta=1.0, x0=5.0)),
+    (LogPerturbedPareto, dict(alpha=1.5, beta=1.0, K0=20.0)),
+    (GeneralTail, dict(alpha=1.5, theta_scale=1.0, A_thresh=2.0,
+                       m1_fn=lambda x: 0.0, m2_fn=lambda x: 0.0)),
+]
+NON_FINITE_CASES = [
+    (family, params, name, bad)
+    for family, params in VALID_LAW_PARAMS
+    for name, value in params.items() if isinstance(value, float)
+    for bad in (math.nan, math.inf, -math.inf)
+]
+
+
+class TestFiniteLawParameters:
+    @pytest.mark.parametrize("family,params", VALID_LAW_PARAMS,
+                             ids=[f.__name__ for f, _ in VALID_LAW_PARAMS])
+    def test_valid_parameters_accepted(self, family, params):
+        family(**params)
+
+    @pytest.mark.parametrize("family,params,name,bad", NON_FINITE_CASES,
+                             ids=[f"{f.__name__}-{'-'.join(p)}-{n}={b}"
+                                  for f, p, n, b in NON_FINITE_CASES])
+    def test_non_finite_parameter_rejected(self, family, params, name, bad):
+        with pytest.raises(DomainError):
+            family(**dict(params, **{name: bad}))
+
+    @pytest.mark.parametrize("K0", [-1.0, 0.0])
+    def test_log_pareto_needs_positive_K0(self, K0):
+        with pytest.raises(DomainError, match="K0 > 0"):
+            LogPerturbedPareto(1.99, 5.0, K0=K0)
+
+
 # Frozen copies of the 0-d numpy tail expressions the scalar rules replaced;
 # each rule must give these bits for a float, an np.float64, a 0-d array and,
 # on integral points, an int.
@@ -344,19 +382,23 @@ class TestKFunction:
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_quadrature_backend_matches_closed(self, pareto15, mp_beta4):
+        from stable_stein.kernels import _k_quadrature
+
         for spec in (pareto15, mp_beta4):
             for t in [0.0, 0.07, -0.8, 3.0]:
                 c = float(k_function(spec, 1.5, 500, t, 8.0))
-                q = float(k_function(spec, 1.5, 500, t, 8.0, backend="quadrature"))
+                q = _k_quadrature(spec, 500, t, 8.0)
                 assert q == pytest.approx(c, rel=1e-8, abs=1e-14)
 
     def test_closed_form_falls_back(self):
         # a law without k1_power_terms goes through the tail-integral identity
+        from stable_stein.kernels import _k_quadrature
+
         gt = GeneralTail(alpha=1.5, theta_scale=1.0, A_thresh=1.0,
                          m1_fn=lambda x: 0.0, m2_fn=lambda x: 0.0)
         v = float(k_function(gt, 1.5, 500, 0.1, 8.0))
         assert v > 0.0
-        assert v == float(k_function(gt, 1.5, 500, 0.1, 8.0, backend="quadrature"))
+        assert v == _k_quadrature(gt, 500, 0.1, 8.0)
 
     @given(st.floats(min_value=0.01, max_value=4.0),
            st.floats(min_value=0.01, max_value=4.0))
@@ -505,15 +547,16 @@ class TestDiscrepancy:
             discrepancy_l1(spec, 1.5, 1000, math.inf)
 
     def test_convergence_error_carries_partial(self):
-        # quadrature at an absurd tolerance must fail and carry an estimate
+        # a cell whose quadrature misses its tolerance must fail and carry
+        # its estimate (the same cell is pinned in tests/test_families.py)
         from stable_stein.kernels import _discrepancy_quadrature
 
         gt = GeneralTail(alpha=1.5, theta_scale=1.0, A_thresh=2.0,
-                         m1_fn=lambda x: 0.3 * x ** -0.5,
-                         m2_fn=lambda x: 0.1 * x ** -1.0)
+                         m1_fn=lambda x: 0.5 * x ** -2.0, m2_fn=lambda x: 0.0)
         with pytest.raises(ConvergenceError) as exc:
-            _discrepancy_quadrature(gt, 5000, 30.0, tol=1e-16)
-        assert exc.value.achieved_tol is not None
+            _discrepancy_quadrature(gt, 10 ** 6, 500.0)
+        assert exc.value.achieved_tol == 1.2234849301672362e-08
+        assert exc.value.partial == 0.00640486952176477
 
 
 class TestGeneralTailBoundsPinned:
