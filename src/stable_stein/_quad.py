@@ -9,9 +9,12 @@ geometric growth into a power-law tail.
 
 The integrals that have no panel layout of their own (tail moments, the
 discrepancy pieces, the mean of a general tail) use ``quad``, a port of
-QUADPACK's adaptive Gauss-Kronrod integrators (Piessens et al., *QUADPACK*,
-Springer 1983), and roots are found by ``brentq``, a port of scipy's Brent
-root finder.  No code path of the package imports scipy.  Four routines are
+QUADPACK's adaptive Gauss-Kronrod integrator dqagse (Piessens et al.,
+*QUADPACK*, Springer 1983), on finite intervals only: an integral out to
+infinity goes through ``kernels._tail_integral``, which integrates a
+log-substituted finite range with ``quad`` and adds an exact power-law
+remainder.  Roots are found by ``brentq``, a port of scipy's Brent root
+finder.  No code path of the package imports scipy.  Four routines are
 ports of scipy's and return its results bit for bit, each pinned by a parity
 test against scipy:
 
@@ -63,9 +66,9 @@ def panel_nodes(edges, order: int = 16):
 
 
 # ---------------------------------------------------------------------------
-# QUADPACK: dqagse (finite interval) and dqagie (a, +inf)
+# QUADPACK: dqagse on a finite interval
 #
-# The Gauss-Kronrod rules are written out on Python floats in the Fortran's
+# The Gauss-Kronrod rule is written out on Python floats in the Fortran's
 # operation order, with QUADPACK's decimal constants, so every sum rounds as
 # it does in scipy's QUADPACK and ``quad`` returns scipy's bits.
 # ---------------------------------------------------------------------------
@@ -94,33 +97,6 @@ _WK21 = (0.011694638867371874278064396062192, 0.03255816230796472747881897245939
 _WG10 = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
          0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
          0.295524224714752870173892994651338)
-
-# 15-point Kronrod rule: abscissae XK1..XK7 (the even ones are the 7-point
-# Gauss nodes), Kronrod weights WK1..WK8 (WK8 at the centre), Gauss weights
-# of the nodes XK2, XK4, XK6 and of the centre.
-_XK15 = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-         0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-         0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
-         0.207784955007898467600689403773245)
-_WK15 = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-         0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-         0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-         0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
-_WG7 = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
-        0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
-
-
-def _kronrod_error(resk, resg, hlgth, resabs, resasc):
-    """QUADPACK's error estimate of one Gauss-Kronrod panel."""
-    abserr = abs((resk - resg) * hlgth)
-    if resasc != 0.0 and abserr != 0.0:
-        # min(1, r**1.5), bit for bit, without pow overflowing for huge r
-        r = 200.0 * abserr / resasc
-        abserr = resasc * (1.0 if r >= 1.0 else r ** 1.5)
-    if resabs > _UFLOW_CUT:
-        abserr = max(_EPMACH50 * resabs, abserr)
-    return abserr
-
 
 def _qk21(f, a, b):
     """QUADPACK dqk21 on [a, b]: (result, abserr, resabs, resasc)."""
@@ -179,63 +155,14 @@ def _qk21(f, a, b):
     dhlgth = abs(hlgth)
     resabs *= dhlgth
     resasc *= dhlgth
-    return (resk * hlgth, _kronrod_error(resk, resg, hlgth, resabs, resasc),
-            resabs, resasc)
-
-
-def _qk15i(f, boun, a, b):
-    """QUADPACK dqk15i for inf = 1: the integral of f over (boun, +inf)
-    mapped by x = boun + (1 - t)/t, on the t-panel [a, b] of (0, 1]."""
-    xk1, xk2, xk3, xk4, xk5, xk6, xk7 = _XK15
-    wk1, wk2, wk3, wk4, wk5, wk6, wk7, wk8 = _WK15
-    wg2, wg4, wg6, wg8 = _WG7
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-
-    def g(t):       # the integrand in t, times the Jacobian 1/t^2
-        return f(boun + (1.0 - t) / t) / t / t
-
-    fc = g(centr)
-    absc = hlgth * xk1
-    u1, v1 = g(centr - absc), g(centr + absc)
-    absc = hlgth * xk2
-    u2, v2 = g(centr - absc), g(centr + absc)
-    absc = hlgth * xk3
-    u3, v3 = g(centr - absc), g(centr + absc)
-    absc = hlgth * xk4
-    u4, v4 = g(centr - absc), g(centr + absc)
-    absc = hlgth * xk5
-    u5, v5 = g(centr - absc), g(centr + absc)
-    absc = hlgth * xk6
-    u6, v6 = g(centr - absc), g(centr + absc)
-    absc = hlgth * xk7
-    u7, v7 = g(centr - absc), g(centr + absc)
-    s1, s2, s3, s4, s5, s6, s7 = (u1 + v1, u2 + v2, u3 + v3, u4 + v4,
-                                  u5 + v5, u6 + v6, u7 + v7)
-    # QUADPACK also adds 0 * s1, 0 * s3, ... (Gauss weight 0): no bit moves
-    # while the values are finite
-    resg = wg8 * fc + wg2 * s2 + wg4 * s4 + wg6 * s6
-    resk0 = wk8 * fc
-    resk = (resk0 + wk1 * s1 + wk2 * s2 + wk3 * s3 + wk4 * s4 + wk5 * s5
-            + wk6 * s6 + wk7 * s7)
-    resabs = (abs(resk0)
-              + wk1 * (abs(u1) + abs(v1)) + wk2 * (abs(u2) + abs(v2))
-              + wk3 * (abs(u3) + abs(v3)) + wk4 * (abs(u4) + abs(v4))
-              + wk5 * (abs(u5) + abs(v5)) + wk6 * (abs(u6) + abs(v6))
-              + wk7 * (abs(u7) + abs(v7)))
-    reskh = resk * 0.5
-    resasc = (wk8 * abs(fc - reskh)
-              + wk1 * (abs(u1 - reskh) + abs(v1 - reskh))
-              + wk2 * (abs(u2 - reskh) + abs(v2 - reskh))
-              + wk3 * (abs(u3 - reskh) + abs(v3 - reskh))
-              + wk4 * (abs(u4 - reskh) + abs(v4 - reskh))
-              + wk5 * (abs(u5 - reskh) + abs(v5 - reskh))
-              + wk6 * (abs(u6 - reskh) + abs(v6 - reskh))
-              + wk7 * (abs(u7 - reskh) + abs(v7 - reskh)))
-    resasc *= hlgth
-    resabs *= hlgth
-    return (resk * hlgth, _kronrod_error(resk, resg, hlgth, resabs, resasc),
-            resabs, resasc)
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        # min(1, r**1.5), bit for bit, without pow overflowing for huge r
+        r = 200.0 * abserr / resasc
+        abserr = resasc * (1.0 if r >= 1.0 else r ** 1.5)
+    if resabs > _UFLOW_CUT:
+        abserr = max(_EPMACH50 * resabs, abserr)
+    return resk * hlgth, abserr, resabs, resasc
 
 
 def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
@@ -347,16 +274,13 @@ def _qelg(n, epstab, res3la, nres):
     return n, result, abserr, nres
 
 
-def _qagse(rule, a, b, limit):
-    """QUADPACK's dqagse routine over [a, b] with the panel rule ``rule(lo,
-    hi)``: bisection of the panel with the largest error, and epsilon
-    extrapolation once the largest error sits on the smallest panel.
-
-    dqagie is the same routine run with the 15-point rule on t in (0, 1];
-    its ``small = 0.375`` is the 0.375 |b - a| here.  The error flag
-    ``ier`` is only followed where it changes the returned bits.
+def _qagse(f, a, b, limit):
+    """QUADPACK's dqagse routine for f over [a, b] with the 21-point rule:
+    bisection of the panel with the largest error, and epsilon
+    extrapolation once the largest error sits on the smallest panel.  The
+    error flag ``ier`` is only followed where it changes the returned bits.
     """
-    result, abserr, defabs, resasc = rule(a, b)
+    result, abserr, defabs, resasc = _qk21(f, a, b)
     dres = abs(result)
     errbnd = max(_EPS, _EPS * dres)
     stop = limit == 1 or (abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd)
@@ -389,8 +313,8 @@ def _qagse(rule, a, b, limit):
         a2 = b1
         b2 = blist[maxerr]
         erlast = errmax
-        area1, error1, _, defab1 = rule(a1, b1)
-        area2, error2, _, defab2 = rule(a2, b2)
+        area1, error1, _, defab1 = _qk21(f, a1, b1)
+        area2, error2, _, defab2 = _qk21(f, a2, b2)
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax
@@ -505,24 +429,23 @@ def _qagse(rule, a, b, limit):
 
 
 def quad(func, a, b, limit: int = 50):
-    """Integral of ``func`` over [a, b], ``b`` finite or ``+inf``:
-    (value, abserr).  ``func`` maps a float to a float (numpy floats are
-    floats).
+    """Integral of ``func`` over the finite interval [a, b]: (value,
+    abserr).  ``func`` maps a float to a float (numpy floats are floats).
 
-    QUADPACK's dqagse for finite b and dqagie for b = +inf, with scipy's
-    default tolerances epsabs = epsrel = 1.49e-8; the bits are those of
-    ``scipy.integrate.quad(func, a, b, limit=limit)``.  A difficult integrand
-    is not an error: as in scipy, the estimate comes back with its error.
+    QUADPACK's dqagse with scipy's default tolerances epsabs = epsrel =
+    1.49e-8; the bits are those of ``scipy.integrate.quad(func, a, b,
+    limit=limit)``.  A difficult integrand is not an error: as in scipy,
+    the estimate comes back with its error.  An infinite bound is a
+    ``DomainError``: integrals to infinity go through
+    ``kernels._tail_integral``.
     """
     a = float(a)
     b = float(b)
-    if not (a < b and math.isfinite(a)) or limit < 1:
+    if not (a < b and math.isfinite(a) and math.isfinite(b)) or limit < 1:
         raise DomainError(
             f"quad needs a finite a < b and limit >= 1, got a={a}, b={b}, limit={limit}"
         )
-    if b == math.inf:
-        return _qagse(lambda lo, hi: _qk15i(func, a, lo, hi), 0.0, 1.0, limit)
-    return _qagse(lambda lo, hi: _qk21(func, lo, hi), a, b, limit)
+    return _qagse(func, a, b, limit)
 
 
 # ---------------------------------------------------------------------------

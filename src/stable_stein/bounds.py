@@ -52,7 +52,6 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
-from ._quad import quad
 from .errors import DomainError
 from .kernels import (
     DistributionSpec,
@@ -61,6 +60,7 @@ from .kernels import (
     RateOrder,
     ThresholdSolution,
     _count,
+    _tail_integral,
     abs_tail_moment_zeta,
     check_spec_alpha,
     discrepancy_l1,
@@ -202,6 +202,8 @@ def _assemble(spec: DistributionSpec, alpha: float, n: int, N: float, gamma: flo
     gam = D_alpha_gamma(alpha, gamma) * spec.ell(n) ** (-gamma / alpha) * \
         spec.abs_central_moment(gamma)
     total = D_alpha(alpha) * disc + trunc + n_term + gam
+    if not math.isfinite(total):
+        raise DomainError(f"the bound for {spec.describe()} is not finite: {total}")
     rate = spec.rate_order()
     return SteinBoundReport(
         alpha=alpha, gamma=gamma, n=int(n), N=N,
@@ -215,17 +217,10 @@ def _exact_truncation(spec, alpha, n, N, n_term):
     return 2.0 * n * abs_tail_moment_zeta(spec, n, N)
 
 
-def _m2_tail_integral(spec: DistributionSpec, scale: float) -> float:
-    """int_1^inf M2(r * scale) r^{-alpha} dr (log-substituted)."""
+def _m2_tail_integral(spec: DistributionSpec, scale: float, lo: float = 1.0) -> float:
+    """int_lo^inf M2(r * scale) r^{-alpha} dr, through ``_tail_integral``."""
     alpha = spec.alpha
-
-    def integrand(w):
-        if w > 690.0:
-            return 0.0
-        return spec.m2(math.exp(w) * scale) * math.exp((1.0 - alpha) * w)
-
-    val, _ = quad(integrand, 0.0, math.inf, limit=200)
-    return val
+    return _tail_integral(lambda r: spec.m2(r * scale) * r ** -alpha, lo, math.inf)
 
 
 def _tail_model_truncation(spec, alpha, n, N, n_term):
@@ -250,14 +245,7 @@ def _tail_model_truncation(spec, alpha, n, N, n_term):
             f"need N > {root ** -1.0 * abs(mean):.6g}"
         )
     m2_at = spec.m2(root * N * delta)
-
-    def delta_integrand(w):
-        if w > 690.0:
-            return 0.0
-        return spec.m2(math.exp(w) * root * N) * math.exp((1.0 - alpha) * w) \
-            / delta ** (1.0 - alpha)
-
-    m2_int_raw = quad(delta_integrand, math.log(delta), math.inf, limit=200)[0]
+    m2_int_raw = _m2_tail_integral(spec, root * N, delta) / delta ** (1.0 - alpha)
     bracket = (1.0 + delta ** (alpha - 1.0)) / (alpha - 1.0) + 1.0 / delta \
         + m2_at / delta + m2_int_raw
     piece = 4.0 * da / delta ** (alpha - 1.0) * bracket * N ** (1.0 - alpha)

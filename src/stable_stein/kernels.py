@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -133,8 +134,7 @@ class DistributionSpec:
         def integrand(s):
             return gamma * s ** (gamma - 1.0) * (upper_tail(s) + lower_tail(s))
 
-        head, _ = quad(integrand, 0.0, 1.0, limit=200)
-        val = head + _tail_integral(integrand, 1.0, math.inf)
+        val = _tail_integral(integrand, 0.0, math.inf)
         if not math.isfinite(val):
             raise ConvergenceError("abs_central_moment quadrature failed", partial=val)
         return val
@@ -528,9 +528,14 @@ class LogPerturbedPareto(DistributionSpec):
             raise DomainError("LogPerturbedPareto needs K0 or x0")
         if K0 is not None and not K0 > 0.0:
             raise DomainError(f"LogPerturbedPareto requires K0 > 0, got {K0}")
+        log_x0_min = max(1.0, self.beta / self.alpha)
+        if log_x0_min > math.log(sys.float_info.max):
+            raise DomainError(
+                f"no finite x0 exceeds e^(max(1, beta/alpha)) = e^{log_x0_min:.6g}"
+            )
         if x0 is None:
             # solve x0^alpha = K0 (log x0)^beta for x0 > max(e, e^{beta/alpha})
-            lo = math.exp(max(1.0, self.beta / self.alpha)) * (1.0 + 1e-9)
+            lo = math.exp(log_x0_min) * (1.0 + 1e-9)
             g = lambda x: self.alpha * math.log(x) - self.beta * math.log(math.log(x)) - math.log(K0)
             hi = max(lo * 2.0, (K0 * 10.0) ** (1.0 / self.alpha) + 10.0)
             while g(hi) < 0.0:
@@ -541,7 +546,7 @@ class LogPerturbedPareto(DistributionSpec):
                 )
             x0 = brentq(g, lo, hi, xtol=1e-13, rtol=1e-15)
             object.__setattr__(self, "x0", x0)
-        elif x0 <= math.exp(max(1.0, self.beta / self.alpha)):
+        elif x0 <= math.exp(log_x0_min):
             raise DomainError(
                 f"LogPerturbedPareto requires x0 > e^(max(1, beta/alpha)), got {x0}"
             )
@@ -698,9 +703,9 @@ class GeneralTail(DistributionSpec):
 
     @functools.cached_property
     def mean(self) -> float:
-        pos, _ = quad(self.tail_pos, 0.0, math.inf, limit=400)
-        neg, _ = quad(self.tail_neg, 0.0, math.inf, limit=400)
-        return pos - neg
+        kink = (self.A_thresh,)
+        return (_tail_integral(self.tail_pos, 0.0, math.inf, points=kink)
+                - _tail_integral(self.tail_neg, 0.0, math.inf, points=kink))
 
     def describe(self) -> str:
         return (f"GeneralTail(alpha={self.alpha}, theta={self.theta_scale}, "
@@ -735,7 +740,8 @@ def stable_kernel_mass(alpha: float, N: float) -> float:
 
 
 def _tail_integral(tail, lo: float, hi: float, points=()) -> float:
-    """int_lo^hi tail(s) ds for power-like tails.
+    """int_lo^hi tail(s) ds for power-like tails, or an integrand of one
+    sign that decays like a power (an M2 term may be negative).
 
     ``points`` lists known kinks of the tail (support edges, thresholds).
     Log substitution over wide ranges; the infinite remainder beyond
@@ -767,7 +773,7 @@ def _tail_integral(tail, lo: float, hi: float, points=()) -> float:
                           math.log(lo), math.log(s_cut), limit=400)
             total += val
         t1, t2 = tail(s_cut), tail(2.0 * s_cut)
-        if t1 > 0.0 and 0.0 < t2 < t1:
+        if t1 != 0.0 and 0.0 < t2 / t1 < 1.0:      # a decaying power of either sign
             g = math.log(t1 / t2) / math.log(2.0)
             if g > 1.0:
                 total += s_cut * t1 / (g - 1.0)

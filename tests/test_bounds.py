@@ -112,8 +112,32 @@ class TestBoundMain:
         rep = bound_main(spec, 1.5, n, N, 0.5)
         assert rep.total > 0.0 and math.isfinite(rep.total)
 
+    def test_non_finite_total_is_a_domain_error(self):
+        # theta = A/alpha is 7e-301: the closed discrepancy runs out of range
+        spec = ModifiedPareto(1.5, 3.0, A=1e-300, B=3.0)
+        with pytest.raises(DomainError, match="not finite"):
+            bound_main(spec, 1.5, 10 ** 6, 1.01, 0.9)
+
 
 class TestBoundMthm2:
+    @pytest.mark.parametrize("lo", [1.0, 0.93])
+    @pytest.mark.parametrize("spec,c,p", [
+        (equal_weight_mp(1.5, 1.8), 1.5 / 1.8, 0.3),
+        # M2 < 0 and slowly decaying: the remainder past the integrated
+        # range keeps its sign
+        (GeneralTail(alpha=1.02, theta_scale=1.0, A_thresh=2.0,
+                     m1_fn=lambda x: 0.0, m2_fn=lambda x: -0.5 * x ** -0.01), -0.5, 0.01),
+    ], ids=["modified-pareto", "negative-m2"])
+    def test_m2_tail_integral_closed_form(self, spec, c, p, lo):
+        # M2(x) = c x^-p, so int_lo^inf M2(r s) r^-alpha dr is
+        # c s^-p lo^(1 - alpha - p) / (alpha + p - 1)
+        from stable_stein.bounds import _m2_tail_integral
+
+        q = spec.alpha + p
+        for s in (7.0, 1234.5):
+            exact = c * s ** -p * lo ** (1.0 - q) / (q - 1.0)
+            assert abs(_m2_tail_integral(spec, s, lo) / exact - 1.0) <= 1e-14
+
     def test_agrees_with_main_at_infinity(self):
         for gamma in [0.2, 0.5, 0.9]:
             r1 = bound_main(Pareto(1.5), 1.5, 10 ** 6, math.inf, gamma)

@@ -487,6 +487,7 @@ class TestNoRawTraceback:
         ["density", "--alpha", "1e-300", "--xmax", "0", "--step", "1"],
         ["rate-order", "--spec", "modified-pareto", "--alpha", "1e6", "--beta", "0",
          "--B", "4"],
+        ["bound", "--spec", "modified-pareto", "--beta", "3", "--A", "1e-300", "--N", "1.01"],
     ]
 
     @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)

@@ -145,35 +145,35 @@ def _pin(fn):
 EXPECTED = {
     'cli/bound --spec hall --A 0.6 --c 0.2 --alpha 1.5 --gamma 0.5 --n 1000000': '\'{"N": 58.20041115655075, "alpha": 1.5, "gamma": 0.5, "has_log_factor": false, "n": 1000000, "rate_exponent": -0.14285714285714274, "terms": {"N_term": 0.3137605154856669, "discrepancy": 0.2022096624916334, "gamma_term": 0.2299047728627935, "truncation": 0.3164560335182479}, "total": 1.9742501207291345}\\n\'',
     'cli/rate-order --spec hall --A 0.6 --c 0.2 --alpha 1.5': '\'{"classified": true, "exponent": -0.14285714285714274, "has_log_factor": false, "in_log_n": false, "spec": "HallTransform(a=0.3, b=0.24, c=0.2, alpha=1.5)"}\\n\'',
-    'example2_bound/beta=1.8': 'Example2Report(alpha=1.5, gamma=0.5, n=1000000, N=56.63691263369341, discrepancy_term=0.25426829055006733, truncation_term=0.482357536417155, N_term=0.3180618133036512, gamma_term=0.23629873965020817, total=2.437677972537182, rate_exponent=-0.1428571428571429, has_log_factor=False, case=3, q_exponent=0.2857142857142858, leading_term=2.2555274849995204, remainder_term=0.18215048753766183)',
-    'example2_bound/beta=2.0': 'Example2Report(alpha=1.5, gamma=0.5, n=1000000, N=12706.753068765367, discrepancy_term=0.07396639257981641, truncation_term=0.03185314868946507, N_term=0.021234596896192275, gamma_term=0.22961200726962705, total=0.6902375881184596, rate_exponent=-0.3333333333333333, has_log_factor=True, case=2, q_exponent=0.6666666666666666, leading_term=0.3685385846128568, remainder_term=0.32169900350560277)',
+    'example2_bound/beta=1.8': 'Example2Report(alpha=1.5, gamma=0.5, n=1000000, N=56.63691263369341, discrepancy_term=0.25426829055006733, truncation_term=0.4823575364171491, N_term=0.3180618133036512, gamma_term=0.23629873965020817, total=2.4376779725371764, rate_exponent=-0.1428571428571429, has_log_factor=False, case=3, q_exponent=0.2857142857142858, leading_term=2.2555274849995204, remainder_term=0.18215048753765606)',
+    'example2_bound/beta=2.0': 'Example2Report(alpha=1.5, gamma=0.5, n=1000000, N=12706.753068765367, discrepancy_term=0.07396639257981641, truncation_term=0.03185314868946527, N_term=0.021234596896192275, gamma_term=0.22961200726962705, total=0.6902375881184597, rate_exponent=-0.3333333333333333, has_log_factor=True, case=2, q_exponent=0.6666666666666666, leading_term=0.3685385846128568, remainder_term=0.3216990035056029)',
     'example2_bound/beta=4.0': 'Example2Report(alpha=1.5, gamma=0.5, n=1000000, N=inf, discrepancy_term=0.008164338372323823, truncation_term=0.0, N_term=0.0, gamma_term=0.20802421030146928, total=0.25300783963045803, rate_exponent=-0.3333333333333333, has_log_factor=False, case=1, q_exponent=None, leading_term=0.04498362932898875, remainder_term=0.20802421030146928)',
-    'general/abs_central_moment': '0.9755898883572637',
+    'general/abs_central_moment': '0.9755898883572696',
     'general/abs_tail_moment_zeta': '0.0005352372432070155',
-    'general/bound_main/n=1000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000, N=5.0, discrepancy_term=0.0880244526574775, truncation_term=1.0704744864140312, N_term=1.0704744696916628, gamma_term=1.3012095518770035, total=3.927153025560984, rate_exponent=nan, has_log_factor=False)',
-    'general/bound_main/n=1000000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000000, N=5.0, discrepancy_term=0.008856146350093812, truncation_term=1.0704744696933821, N_term=1.0704744696916628, gamma_term=0.13012095518770037, total=2.3198652269717996, rate_exponent=nan, has_log_factor=False)',
-    'general/bound_main/n=1000000/N=50.0': 'ConvergenceError(partial=0.006422291991996495, achieved_tol=1.4142463421521576e-08)',
-    'general/bound_main/n=1000000/N=500.0': 'ConvergenceError(partial=0.00640486952176477, achieved_tol=1.2234849301672362e-08)',
-    'general/bound_mthm2/n=1000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000, N=5.0, discrepancy_term=0.0880244526574775, truncation_term=1.6058911946715066, N_term=1.0704744696916628, gamma_term=1.3012095518770035, total=4.46256973381846, rate_exponent=nan, has_log_factor=False)',
-    'general/bound_mthm2/n=1000000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000000, N=5.0, discrepancy_term=0.008856146350093812, truncation_term=1.6057134991885929, N_term=1.0704744696916628, gamma_term=0.13012095518770037, total=2.85510425646701, rate_exponent=nan, has_log_factor=False)',
-    'general/bound_mthm2/n=1000000/N=50.0': 'ConvergenceError(partial=0.006422291991996495, achieved_tol=1.4142463421521576e-08)',
-    'general/bound_mthm2/n=1000000/N=500.0': 'ConvergenceError(partial=0.00640486952176477, achieved_tol=1.2234849301672362e-08)',
+    'general/bound_main/n=1000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000, N=5.0, discrepancy_term=0.08802445265745783, truncation_term=1.0704744864140312, N_term=1.0704744696916628, gamma_term=1.3012095518770113, total=3.9271530255608837, rate_exponent=nan, has_log_factor=False)',
+    'general/bound_main/n=1000000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000000, N=5.0, discrepancy_term=0.00885614635009165, truncation_term=1.0704744696933821, N_term=1.0704744696916628, gamma_term=0.13012095518770114, total=2.319865226971789, rate_exponent=nan, has_log_factor=False)',
+    'general/bound_main/n=1000000/N=50.0': 'ConvergenceError(partial=0.00642229199199439, achieved_tol=1.4142456430714361e-08)',
+    'general/bound_main/n=1000000/N=500.0': 'ConvergenceError(partial=0.006404869521762175, achieved_tol=1.2234840589907262e-08)',
+    'general/bound_mthm2/n=1000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000, N=5.0, discrepancy_term=0.08802445265745783, truncation_term=1.6058911946715062, N_term=1.0704744696916628, gamma_term=1.3012095518770113, total=4.462569733818359, rate_exponent=nan, has_log_factor=False)',
+    'general/bound_mthm2/n=1000000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000000, N=5.0, discrepancy_term=0.00885614635009165, truncation_term=1.6057134991885929, N_term=1.0704744696916628, gamma_term=0.13012095518770114, total=2.8551042564669995, rate_exponent=nan, has_log_factor=False)',
+    'general/bound_mthm2/n=1000000/N=50.0': 'ConvergenceError(partial=0.00642229199199439, achieved_tol=1.4142456430714361e-08)',
+    'general/bound_mthm2/n=1000000/N=500.0': 'ConvergenceError(partial=0.006404869521762175, achieved_tol=1.2234840589907262e-08)',
     'general/default_truncation/n=1000': 'DomainError',
     'general/default_truncation/n=1000000': 'DomainError',
     'general/describe': "'GeneralTail(alpha=1.5, theta=1.0, A_thresh=2.0)'",
-    'general/discrepancy_l1/N=50.0': '0.08843215524623994',
+    'general/discrepancy_l1/N=50.0': '0.0884321552462191',
     'general/discrepancy_l1/N=inf': 'DomainError',
-    'general/k_function/t=-0.3': '0.0008268561450697578',
-    'general/k_function/t=0.01': '0.0056823402326964196',
-    'general/k_function/t=0.7': '0.0004470916020039136',
+    'general/k_function/t=-0.3': '0.000826856145069752',
+    'general/k_function/t=0.01': '0.005682340232696806',
+    'general/k_function/t=0.7': '0.000447091602003915',
     'general/rate_order': 'RateOrder(exponent=nan, has_log_factor=False, in_log_n=False, classified=False)',
-    'general_mean_m2/bound_mthm2/n=1000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000, N=5.0, discrepancy_term=0.14245923634651358, truncation_term=1.6090203578600444, N_term=1.0704744696916628, gamma_term=1.7098748233377448, total=5.174287324564748, rate_exponent=nan, has_log_factor=False)',
+    'general_mean_m2/bound_mthm2/n=1000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000, N=5.0, discrepancy_term=0.14245923634651136, truncation_term=1.6090203578600448, N_term=1.0704744696916628, gamma_term=1.7098748233377423, total=5.174287324564734, rate_exponent=nan, has_log_factor=False)',
     'hall/abs_central_moment': '1.4538461538461538',
     'hall/abs_tail_moment_zeta': '0.0005734648393734927',
     'hall/bound_main/n=1000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000, N=8.086920907269151, discrepancy_term=0.4915091987573535, truncation_term=0.8937663210438386, N_term=0.8417240156181972, gamma_term=2.2990477286279347, total=6.742640865590236, rate_exponent=-0.14285714285714274, has_log_factor=False)',
     'hall/bound_main/n=1000000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000000, N=58.20041115655075, discrepancy_term=0.2022096624916334, truncation_term=0.3164560335182479, N_term=0.3137605154856669, gamma_term=0.2299047728627935, total=1.9742501207291345, rate_exponent=-0.14285714285714274, has_log_factor=False)',
     'hall/bound_mthm2/n=1000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000, N=8.086920907269151, discrepancy_term=0.4915091987573535, truncation_term=1.3406494815657566, N_term=0.8417240156181972, gamma_term=2.2990477286279347, total=7.189524026112154, rate_exponent=-0.14285714285714274, has_log_factor=False)',
-    'hall/bound_mthm2/n=1000000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000000, N=58.20041115655075, discrepancy_term=0.2022096624916334, truncation_term=0.4746840502765188, N_term=0.3137605154856669, gamma_term=0.2299047728627935, total=2.132478137487406, rate_exponent=-0.14285714285714274, has_log_factor=False)',
+    'hall/bound_mthm2/n=1000000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000000, N=58.20041115655075, discrepancy_term=0.2022096624916334, truncation_term=0.47468405027651434, N_term=0.3137605154856669, gamma_term=0.2299047728627935, total=2.1324781374874013, rate_exponent=-0.14285714285714274, has_log_factor=False)',
     'hall/default_truncation/n=1000': '8.086920907269151',
     'hall/default_truncation/n=1000000': '58.20041115655075',
     'hall/describe': "'HallTransform(a=0.3, b=0.24, c=0.2, alpha=1.5)'",
@@ -218,7 +218,7 @@ EXPECTED = {
     'mp_beta1.8/bound_main/n=1000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000, N=7.869673491972196, discrepancy_term=0.6032203689608707, truncation_term=0.9210282170923384, N_term=0.8532630891887505, gamma_term=2.362987396502082, total=7.460884394215112, rate_exponent=-0.1428571428571429, has_log_factor=False)',
     'mp_beta1.8/bound_main/n=1000000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000000, N=56.636912633693434, discrepancy_term=0.25426829055006733, truncation_term=0.3215716909455074, N_term=0.31806181330365113, gamma_term=0.23629873965020817, total=2.2768921270655347, rate_exponent=-0.1428571428571429, has_log_factor=False)',
     'mp_beta1.8/bound_mthm2/n=1000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000, N=7.869673491972196, discrepancy_term=0.6032203689608707, truncation_term=1.3815423256385073, N_term=0.8532630891887505, gamma_term=2.362987396502082, total=7.92139850276128, rate_exponent=-0.1428571428571429, has_log_factor=False)',
-    'mp_beta1.8/bound_mthm2/n=1000000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000000, N=56.636912633693434, discrepancy_term=0.25426829055006733, truncation_term=0.482357536417155, N_term=0.31806181330365113, gamma_term=0.23629873965020817, total=2.437677972537182, rate_exponent=-0.1428571428571429, has_log_factor=False)',
+    'mp_beta1.8/bound_mthm2/n=1000000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000000, N=56.636912633693434, discrepancy_term=0.25426829055006733, truncation_term=0.4823575364171491, N_term=0.31806181330365113, gamma_term=0.23629873965020817, total=2.4376779725371764, rate_exponent=-0.1428571428571429, has_log_factor=False)',
     'mp_beta1.8/default_truncation/n=1000': '7.869673491972196',
     'mp_beta1.8/default_truncation/n=1000000': '56.636912633693434',
     'mp_beta1.8/describe': "'ModifiedPareto(alpha=1.5, beta=1.8, A=0.8181818181818182, B=0.8181818181818182)'",
@@ -239,8 +239,8 @@ EXPECTED = {
     'mp_beta2/abs_tail_moment_zeta': '0.0005458545332939279',
     'mp_beta2/bound_main/n=1000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000, N=127.06753068765363, discrepancy_term=0.41370081733876424, truncation_term=0.21318153241315546, N_term=0.2123459689619228, gamma_term=2.29612007269627, total=5.001044062995868, rate_exponent=-0.3333333333333333, has_log_factor=True)',
     'mp_beta2/bound_main/n=1000000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000000, N=12706.753068765369, discrepancy_term=0.07396639257981641, truncation_term=0.021236291605789815, N_term=0.021234596896192275, gamma_term=0.22961200726962705, total=0.6796207310347844, rate_exponent=-0.3333333333333333, has_log_factor=True)',
-    'mp_beta2/bound_mthm2/n=1000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000, N=127.06753068765363, discrepancy_term=0.41370081733876424, truncation_term=0.31977229861973255, N_term=0.2123459689619228, gamma_term=2.29612007269627, total=5.107634829202445, rate_exponent=-0.3333333333333333, has_log_factor=True)',
-    'mp_beta2/bound_mthm2/n=1000000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000000, N=12706.753068765369, discrepancy_term=0.07396639257981641, truncation_term=0.031853148689465066, N_term=0.021234596896192275, gamma_term=0.22961200726962705, total=0.6902375881184595, rate_exponent=-0.3333333333333333, has_log_factor=True)',
+    'mp_beta2/bound_mthm2/n=1000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000, N=127.06753068765363, discrepancy_term=0.41370081733876424, truncation_term=0.3197722986197329, N_term=0.2123459689619228, gamma_term=2.29612007269627, total=5.107634829202446, rate_exponent=-0.3333333333333333, has_log_factor=True)',
+    'mp_beta2/bound_mthm2/n=1000000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000000, N=12706.753068765369, discrepancy_term=0.07396639257981641, truncation_term=0.03185314868946526, N_term=0.021234596896192275, gamma_term=0.22961200726962705, total=0.6902375881184597, rate_exponent=-0.3333333333333333, has_log_factor=True)',
     'mp_beta2/default_truncation/n=1000': '127.06753068765363',
     'mp_beta2/default_truncation/n=1000000': '12706.753068765369',
     'mp_beta2/describe': "'ModifiedPareto(alpha=1.5, beta=2.0, A=0.8571428571428571, B=0.8571428571428571)'",

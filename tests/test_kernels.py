@@ -244,6 +244,12 @@ class TestFiniteLawParameters:
         with pytest.raises(DomainError, match="K0 > 0"):
             LogPerturbedPareto(1.99, 5.0, K0=K0)
 
+    @pytest.mark.parametrize("params", [dict(x0=5.0), dict(K0=1e300)], ids=["x0", "K0"])
+    def test_log_pareto_beta_past_float_range(self, params):
+        # e^(beta/alpha) overflows a float: no finite x0 is admissible
+        with pytest.raises(DomainError, match="no finite x0"):
+            LogPerturbedPareto(1.5, 1e6, **params)
+
 
 # Frozen copies of the 0-d numpy tail expressions the scalar rules replaced;
 # each rule must give these bits for a float, an np.float64, a 0-d array and,
@@ -473,6 +479,29 @@ class TestTailIdentity:
         assert upper_tail_moment(lp, 6.0) == pytest.approx(float(want), rel=1e-8)
 
 
+class TestGeneralTailMean:
+    """The mean integrates P(xi > x) - P(xi < -x) = m1 (1 + m2) theta x^-alpha
+    out to infinity, frozen below the threshold A."""
+
+    def test_closed_form(self):
+        gt = GeneralTail(alpha=1.5, theta_scale=1.0, A_thresh=2.0,
+                         m1_fn=lambda x: 0.5 * x ** -2.0, m2_fn=lambda x: 0.0)
+        # A * m1(A) A^-alpha + int_A^inf 0.5 x^-3.5 dx
+        exact = 0.25 * 2.0 ** -1.5 + 0.5 * 2.0 ** -2.5 / 2.5
+        assert abs(gt.mean / exact - 1.0) <= 1e-14
+
+    def test_nonzero_m2_against_mpmath(self):
+        import mpmath as mp
+
+        gt = GeneralTail(alpha=1.5, theta_scale=1.0, A_thresh=2.0,
+                         m1_fn=lambda x: 0.5 * x ** -0.5, m2_fn=lambda x: 0.3 * x ** -0.7)
+        with mp.workdps(40):
+            diff = lambda x: 0.5 * x ** mp.mpf(-0.5) * (1 + mp.mpf(0.3) * x ** mp.mpf(-0.7)) \
+                * x ** mp.mpf(-1.5)
+            exact = 2 * diff(mp.mpf(2)) + mp.quad(diff, [2, mp.inf])
+            assert abs(gt.mean / exact - 1) <= 1e-14
+
+
 @pytest.mark.parametrize("call", [
     lambda n: k_function(Pareto(1.5), 1.5, n, 0.5, 5.0),
     lambda n: abs_tail_moment_zeta(Pareto(1.5), n, 5.0),
@@ -555,8 +584,8 @@ class TestDiscrepancy:
                          m1_fn=lambda x: 0.5 * x ** -2.0, m2_fn=lambda x: 0.0)
         with pytest.raises(ConvergenceError) as exc:
             _discrepancy_quadrature(gt, 10 ** 6, 500.0)
-        assert exc.value.achieved_tol == 1.2234849301672362e-08
-        assert exc.value.partial == 0.00640486952176477
+        assert exc.value.achieved_tol == 1.2234840589907262e-08
+        assert exc.value.partial == 0.006404869521762175
 
 
 class TestGeneralTailBoundsPinned:
@@ -572,15 +601,15 @@ class TestGeneralTailBoundsPinned:
         from stable_stein.bounds import bound_main
 
         rep = bound_main(self.spec(), 1.5, 100, 5.0, 0.5)
-        assert rep.discrepancy_term == 0.1881818377114457
-        assert rep.total == 5.981158993388652
+        assert rep.discrepancy_term == 0.1881818377114076
+        assert rep.total == 5.981158993388458
 
     def test_bound_mthm2(self):
         from stable_stein.bounds import bound_mthm2
 
         rep = bound_mthm2(self.spec(), 1.5, 100, 5.0, 0.5)
-        assert rep.discrepancy_term == 0.1881818377114457
-        assert rep.total == 6.517229424822737
+        assert rep.discrepancy_term == 0.1881818377114076
+        assert rep.total == 6.517229424822543
 
     def test_discrepancy_k1_matches_public_k_function(self, mp_beta4):
         # the discrepancy resolves K1 once; the public k_function gives the

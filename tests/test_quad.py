@@ -1,5 +1,9 @@
 """The in-house QUADPACK ``quad`` and ``brentq`` against scipy's, bit for bit.
 
+``quad`` integrates over finite intervals only (scipy's dqagse path); an
+integral to infinity goes through ``kernels._tail_integral``, whose own
+``quad`` calls are finite and so fall under the same parity checks.
+
 scipy is imported here, and in the other parity tests, only as the oracle:
 no code path of the package imports it.
 """
@@ -8,6 +12,7 @@ import collections
 import importlib
 import math
 import random
+import sys
 import threading
 import warnings
 
@@ -65,10 +70,15 @@ def spy(monkeypatch):
                 rec["brentq"].append((f, a, b, tols, got))
         return got
 
-    monkeypatch.setattr(ker, "quad", spy_quad)
-    monkeypatch.setattr(bnd, "quad", spy_quad)
-    monkeypatch.setattr(ker, "brentq", spy_brentq)
-    monkeypatch.setattr(den, "brentq", spy_brentq)
+    # every name that binds a port in a loaded package module (``_quad``
+    # too, for an import made at call time): a module that gains the import
+    # stays under the scipy-bits check
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "stable_stein":
+            for attr, value in list(vars(module).items()):
+                for port, spy_port in ((quad, spy_quad), (brentq, spy_brentq)):
+                    if value is port:
+                        monkeypatch.setattr(module, attr, spy_port)
     return rec
 
 
@@ -134,7 +144,7 @@ class TestCallerParity:
 
 
 # ---------------------------------------------------------------------------
-# (b) hard finite integrands, (c) semi-infinite ones
+# (b) hard finite integrands, (c) unsupported bounds
 # ---------------------------------------------------------------------------
 
 LIMITS = (1, 2, 3, 5, 10, 50, 400)
@@ -160,19 +170,6 @@ def hard_finite(rng):
     ])
     a = rng.uniform(-2.0, 0.0)
     return f, a, a + rng.uniform(1e-3, 3.0)
-
-
-def semi_infinite(rng):
-    p = rng.uniform(1.05, 4.0)
-    w = rng.uniform(0.1, 20.0)
-    f = rng.choice([
-        lambda x: (1.0 + x * x) ** (-p / 2.0),
-        lambda x: math.exp(-w * x) * math.cos(x),
-        lambda x: math.sin(w * x) / (1.0 + x) ** p,
-        lambda x: (1.0 + x) ** -p if x > 2.0 else 0.3,
-        lambda x: abs(x) ** (p - 1.0) * math.exp(-x),
-    ])
-    return f, rng.uniform(-1.0, 3.0)
 
 
 # integrands whose extrapolation table is spoilt by roundoff (scipy's ier = 4)
@@ -208,20 +205,9 @@ class TestIntegrandParity:
         assert msg.startswith("The algorithm does not converge.  Roundoff error")
         assert quad(f, a, b, limit=limit) == want
 
-    @pytest.mark.parametrize("seed", range(2))
-    def test_semi_infinite(self, seed):
-        rng = random.Random(100 + seed)
-        kinds = set()
-        for _ in range(300):
-            f, a = semi_infinite(rng)
-            limit = rng.choice(LIMITS)
-            want, msg = scipy_quad(f, a, math.inf, limit)
-            assert quad(f, a, math.inf, limit=limit) == want, (a, limit)
-            kinds.add(msg and msg.split()[1])
-        assert {None, "maximum"} <= kinds
-
     @pytest.mark.parametrize("a,b", [(1.0, 1.0), (2.0, 1.0), (-math.inf, 0.0),
-                                     (0.0, -math.inf), (0.0, math.nan)])
+                                     (0.0, -math.inf), (0.0, math.nan),
+                                     (0.0, math.inf)])
     def test_unsupported_bounds(self, a, b):
         with pytest.raises(DomainError):
             quad(math.exp, a, b)
