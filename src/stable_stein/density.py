@@ -52,9 +52,9 @@ __all__ = [
 
 _EPS_TRUNC = 1e-18
 _LOG_EPS = -math.log(_EPS_TRUNC)
-# direct quadrature is used up to this |x|; beyond, the CDF takes the power
-# tail F_bar(x) ~ (d_alpha/alpha) x^{-alpha}, accurate to ~1e-9 absolute, and
-# the density and its derivatives the tail series (``_tail_density``)
+# direct quadrature is used up to this |x|; beyond, the CDF, the density and
+# its derivatives come from the tail series (``_tail_series``,
+# ``_tail_density``), which always reaches its tolerance there
 _TAIL_SWITCH = 2000.0
 # the tail series stands in for quadrature where its smallest term is at most
 # this: far below half an ulp of F near 1
@@ -172,7 +172,7 @@ def _density1_d2(x: float, alpha: float) -> float:
 
 def _cdf1(x: float, alpha: float) -> float:
     if abs(x) > _TAIL_SWITCH:
-        tail = d_alpha(alpha) / alpha * abs(x) ** (-alpha)
+        tail = _tail_series(abs(x), alpha)
         return 1.0 - tail if x > 0 else tail
     val = 0.5 + _fourier_integral(0.0, x, alpha, "sinc") / math.pi
     return min(1.0, max(0.0, val))

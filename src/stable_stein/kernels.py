@@ -71,8 +71,8 @@ class DistributionSpec:
 
     Concrete laws provide signed tails, the tail scale theta, the threshold
     beyond which the tail model is exact, the mean, absolute (central)
-    moments, an inverse CDF, and a sampler.  ``ell(n)`` is the norming
-    sequence alpha theta n / (2 d_alpha).
+    moments, and the inverse of P(|xi| > x) (``_isf_abs``) or a sampler.
+    ``ell(n)`` is the norming sequence alpha theta n / (2 d_alpha).
 
     A family the paper analyses also states its closed forms and rules:
     ``k1_power_terms``, ``discrepancy_closed``, ``default_truncation`` and
@@ -166,12 +166,23 @@ class DistributionSpec:
         return RateOrder(math.nan, False, classified=False)
 
     # -- sampling ---------------------------------------------------------
-    # True when sample(rng, k) is a prefix of sample(rng, n) for k <= n on
-    # the same stream, so one draw at the largest n serves every smaller n
-    prefix_consistent = False
+    # Every sampler works element by element: sample(rng, k) is the first k
+    # values of sample(rng, n) for k <= n on the same stream, so one draw at
+    # the largest n of a rate fit serves every smaller n.
+    def _isf_abs(self, v):
+        """The x >= 0 with P(|xi| > x) = v, for each v of an array."""
+        raise NotImplementedError
 
     def ppf(self, u):
-        raise NotImplementedError
+        import numpy as np
+
+        # one fold per draw, and no data-dependent branch: v = 2 min(u, 1-u)
+        # and the sign of u - 1/2 pick the same operands as the two-sided
+        # formula, bit for bit
+        u = np.asarray(u, dtype=float)
+        v = 2.0 * np.minimum(u, 1.0 - u)
+        out = np.copysign(self._isf_abs(v), u - 0.5)
+        return out if out.ndim else float(out)
 
     def sample(self, rng, size=None):
         return self.ppf(rng.random(size))
@@ -188,6 +199,26 @@ def _map_scalar(rule, x):
     xs = np.asarray(x, dtype=float)
     out = np.array([rule(v) for v in xs.ravel().tolist()]).reshape(xs.shape)
     return out if xs.ndim else float(out)
+
+
+def _newton(step, z, lo, hi, rtol, floor, iters):
+    """Newton's iteration z <- clip(z - step(z), lo, hi), element by element.
+
+    An element stops, and keeps its value, once its step is at most
+    rtol max(z, floor), so its result does not depend on the rest of the
+    array: the live mask only shrinks.
+    """
+    import numpy as np
+
+    live = np.ones(np.shape(z), dtype=bool)
+    for _ in range(iters):
+        s = step(z)
+        nxt = np.clip(z - s, lo, hi)
+        z = np.where(live, nxt, z)
+        live &= np.abs(s) > rtol * np.maximum(nxt, floor)
+        if not live.any():
+            break
+    return z
 
 
 def _check_alpha_12(alpha, who):
@@ -278,18 +309,8 @@ class Pareto(DistributionSpec):
     def rate_order(self) -> RateOrder:
         return RateOrder(-(2.0 - self.alpha) / self.alpha, False)
 
-    prefix_consistent = True
-
-    def ppf(self, u):
-        import numpy as np
-
-        # one power per draw, and no data-dependent branch: 2 min(u, 1-u)
-        # and the sign of u - 1/2 pick the same operands as the two-sided
-        # formula, bit for bit
-        u = np.asarray(u, dtype=float)
-        v = (2.0 * np.minimum(u, 1.0 - u)) ** (-1.0 / self.alpha)
-        out = np.copysign(v, u - 0.5)
-        return out if out.ndim else float(out)
+    def _isf_abs(self, v):
+        return v ** (-1.0 / self.alpha)
 
     def describe(self) -> str:
         return f"Pareto(alpha={self.alpha})"
@@ -342,12 +363,7 @@ class ModifiedPareto(DistributionSpec):
         return 1.0
 
     def m2(self, x):
-        import numpy as np
-
-        # the power stays numpy's 0-d one: Python's float ** differs in the
-        # last bit on some inputs, and bound_mthm2 integrates this
-        x = np.asarray(x, dtype=float)
-        return float((self.B * self.alpha) / (self.A * self.beta) * x ** (self.alpha - self.beta))
+        return (self.B * self.alpha) / (self.A * self.beta) * float(x) ** (self.alpha - self.beta)
 
     def abs_central_moment(self, gamma: float) -> float:
         if not (0.0 < gamma <= 1.0):
@@ -416,26 +432,19 @@ class ModifiedPareto(DistributionSpec):
             return RateOrder(-(a - 1.0) * (b - a) / (a * (1.0 + a - b)), False)
         return RateOrder(-(2.0 - a) / a, case == 2)
 
-    def ppf(self, u):
+    def _isf_abs(self, v):
         import numpy as np
 
-        u = np.asarray(u, dtype=float)
-        v = 2.0 * np.where(u < 0.5, u, 1.0 - u)
-        v = np.clip(v, 1e-300, 1.0)
         # solve (A/alpha) y + (B/beta) y^{beta/alpha} = v for y = x^{-alpha}
+        v = np.clip(v, 1e-300, 1.0)
         r = self.beta / self.alpha
         ca, cb = self.A / self.alpha, self.B / self.beta
-        y = np.minimum(v / ca, 1.0)
-        for _ in range(60):
-            h = ca * y + cb * y ** r - v
-            dh = ca + cb * r * y ** (r - 1.0)
-            step = h / dh
-            y = np.clip(y - step, 1e-320, 1.0)
-            if np.all(np.abs(step) <= 1e-15 * np.maximum(y, 1e-300)):
-                break
-        x = y ** (-1.0 / self.alpha)
-        out = np.where(u < 0.5, -x, x)
-        return out if out.ndim else float(out)
+
+        def step(y):
+            return (ca * y + cb * y ** r - v) / (ca + cb * r * y ** (r - 1.0))
+
+        y = _newton(step, np.minimum(v / ca, 1.0), 1e-320, 1.0, 1e-15, 1e-300, 60)
+        return y ** (-1.0 / self.alpha)
 
     def describe(self) -> str:
         return (f"ModifiedPareto(alpha={self.alpha}, beta={self.beta}, "
@@ -485,15 +494,14 @@ class HallTransform(ModifiedPareto):
         import numpy as np
 
         # |Z| is a mixture: weight 2a uniform on (0,1), weight 2b/(c+1) with
-        # density (c+1) z^c; the sign is symmetric.
+        # density (c+1) z^c; the sign is symmetric.  Each draw takes its
+        # three uniforms (pick, value, sign) from one row, so a shorter draw
+        # is a prefix of a longer one.
         scalar = size is None
         m = 1 if scalar else int(np.prod(size))
-        pick = rng.random(m)
-        val = rng.random(m)
-        sign = np.where(rng.random(m) < 0.5, -1.0, 1.0)
-        w_flat = 2.0 * self.a
-        absz = np.where(pick < w_flat, val, val ** (1.0 / (self.c + 1.0)))
-        x = sign * absz ** (-1.0 / self.alpha)
+        pick, val, sign = rng.random((m, 3)).T
+        absz = np.where(pick < 2.0 * self.a, val, val ** (1.0 / (self.c + 1.0)))
+        x = np.copysign(absz ** (-1.0 / self.alpha), sign - 0.5)
         if scalar:
             return float(x[0])
         return x.reshape(size)
@@ -616,26 +624,20 @@ class LogPerturbedPareto(DistributionSpec):
 
         return self.x0 ** gamma + _tail_integral(integrand, self.x0, math.inf)
 
-    def ppf(self, u):
+    def _isf_abs(self, v):
         import numpy as np
 
-        u = np.asarray(u, dtype=float)
-        v = 2.0 * np.where(u < 0.5, u, 1.0 - u)
-        v = np.clip(v, 1e-300, 1.0)
         # solve K0 w^beta e^{-alpha w} = v for w = log x >= log x0
+        log_kv = np.log(self.K0 / np.clip(v, 1e-300, 1.0))
+        a, b = self.alpha, self.beta
+
+        def step(w):
+            return (a * w - b * np.log(w) - log_kv) / (a - b / w)
+
         w0 = math.log(self.x0)
-        w = np.maximum(w0, (np.log(self.K0 / v)) / self.alpha)
-        lo = max(w0, self.beta / self.alpha + 1e-12)
-        for _ in range(80):
-            g = self.alpha * w - self.beta * np.log(w) - np.log(self.K0 / v)
-            dg = self.alpha - self.beta / w
-            step = g / dg
-            w = np.maximum(w - step, lo)
-            if np.all(np.abs(step) <= 1e-14 * np.maximum(w, 1.0)):
-                break
-        x = np.exp(w)
-        out = np.where(u < 0.5, -x, x)
-        return out if out.ndim else float(out)
+        lo = max(w0, b / a + 1e-12)
+        w = _newton(step, np.maximum(w0, log_kv / a), lo, math.inf, 1e-14, 1.0, 80)
+        return np.exp(w)
 
     def describe(self) -> str:
         return (f"LogPerturbedPareto(alpha={self.alpha}, beta={self.beta}, "

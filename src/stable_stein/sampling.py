@@ -18,11 +18,11 @@ summand law.
 The replicate loop does not build a generator per replicate: each worker
 owns one Philox and re-keys it (key as above, counter 0, empty buffer) for
 every replicate, which yields the same streams as ``substream`` at a
-fraction of the set-up cost.  A family whose ``sample`` works element by
-element (``prefix_consistent``) draws the same first k values of a stream
-whatever the size asked for, so ``fit_rate`` draws each replicate once, at
-the largest n of its grid, and sums prefixes of it for the smaller n.  The
-sums are bit-identical to separate ``sample_sum`` calls.
+fraction of the set-up cost.  Every family's ``sample`` works element by
+element: it draws the same first k values of a stream whatever the size
+asked for, so ``fit_rate`` draws each replicate once, at the largest n of
+its grid, and sums prefixes of it for the smaller n.  The sums are
+bit-identical to separate ``sample_sum`` calls.
 
 Estimators
 ----------
@@ -88,7 +88,6 @@ __all__ = [
     "STREAM_SUMMANDS",
     "STREAM_REFERENCE",
     "STREAM_FLOOR_A",
-    "STREAM_FLOOR_B",
     "STREAM_BLOCKS",
     "STREAM_GENERIC",
 ]
@@ -96,7 +95,6 @@ __all__ = [
 STREAM_SUMMANDS = 0
 STREAM_REFERENCE = 1
 STREAM_FLOOR_A = 2
-STREAM_FLOOR_B = 3
 STREAM_BLOCKS = 4
 STREAM_GENERIC = 5
 
@@ -243,9 +241,8 @@ def _compensated_row_sums(x: np.ndarray) -> np.ndarray:
 def _sample_sums(spec: DistributionSpec, ns: Sequence[int], m: int, seed: int) -> list:
     """One SampleBatch per n of ns, all with the same m and seed.
 
-    Replicate r draws from stream (seed, SUMMANDS, r).  A prefix-consistent
-    family draws each replicate once, at max(ns), and every n sums a prefix
-    of the same row; other families draw once per n.
+    Replicate r draws from stream (seed, SUMMANDS, r), once, at max(ns);
+    every n sums a prefix of the same row.
     """
     import numpy as np
 
@@ -255,22 +252,17 @@ def _sample_sums(spec: DistributionSpec, ns: Sequence[int], m: int, seed: int) -
     scales = [spec.ell(n) ** (-1.0 / alpha) for n in ns]
     mu = spec.mean
     outs = [np.empty(m, dtype=float) for _ in ns]
-    if spec.prefix_consistent:
-        passes = [(max(ns), range(len(ns)))]
-    else:
-        passes = [(n, (i,)) for i, n in enumerate(ns)]
+    width = max(ns)
 
     def run_range(r0: int, r1: int):
         seek = _restream(seed, STREAM_SUMMANDS)
-        for width, targets in passes:
-            for b0 in range(r0, r1, _BLOCK):
-                b1 = min(b0 + _BLOCK, r1)
-                rows = np.empty((b1 - b0, width), dtype=float)
-                for r in range(b0, b1):
-                    rows[r - b0] = spec.sample(seek(r), width)
-                for i in targets:
-                    n = ns[i]
-                    outs[i][b0:b1] = scales[i] * (_compensated_row_sums(rows[:, :n]) - n * mu)
+        for b0 in range(r0, r1, _BLOCK):
+            b1 = min(b0 + _BLOCK, r1)
+            rows = np.empty((b1 - b0, width), dtype=float)
+            for r in range(b0, b1):
+                rows[r - b0] = spec.sample(seek(r), width)
+            for n, scale, out in zip(ns, scales, outs):
+                out[b0:b1] = scale * (_compensated_row_sums(rows[:, :n]) - n * mu)
 
     workers = resolve_threads()
     if workers > 1 and m >= 4 * workers:
@@ -471,12 +463,12 @@ def fit_rate(spec: DistributionSpec, alpha: float, n_grid: Sequence[int], m: int
     estimates are dropped from the fit and reported.
 
     Each grid point's result equals ``empirical_w1(sample_sum(spec, n, m,
-    seed), estimator)`` bit for bit, but the shared work is done once: a
-    prefix-consistent family draws each replicate once, at the largest n,
-    and every n sums a prefix of it; the bias floor with its jackknife
-    values and the sorted two-sample reference, which do not depend on n,
-    are computed at the first grid point and reused.  The slope is fitted
-    on the log of each n as an int (see ``sample_sum``).
+    seed), estimator)`` bit for bit, but the shared work is done once: each
+    replicate is drawn once, at the largest n, and every n sums a prefix of
+    it; the bias floor with its jackknife values and the sorted two-sample
+    reference, which do not depend on n, are computed at the first grid
+    point and reused.  The slope is fitted on the log of each n as an int
+    (see ``sample_sum``).
     """
     import numpy as np
 

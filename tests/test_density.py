@@ -185,6 +185,24 @@ class TestFarTail:
         assert density_deriv(law, -1e6, 1) == pytest.approx(2.5 * lead / 1e6, rel=1e-8)
         assert density_deriv(law, 1e6, 2) == pytest.approx(2.5 * 3.5 * lead / 1e12, rel=1e-8)
 
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    def test_cdf_beyond_the_switch_against_mpmath(self, alpha):
+        # the CDF takes the same tail series as the density, not its
+        # one-term power asymptotic (4e-5 off at alpha 1.1, x = 2001)
+        import mpmath
+
+        law = StableLaw(alpha)
+        a = mpmath.mpf(alpha)
+        with mpmath.workdps(40):
+            for x in (2001.0, 1e5):
+                # the terms fall by about x^{-alpha} each: 40 leave < 1e-40
+                X = mpmath.mpf(x)
+                want = sum((-1) ** (k + 1) * mpmath.gamma(a * k) / mpmath.factorial(k)
+                           * mpmath.sin(mpmath.pi * a * k / 2) * X ** (-a * k)
+                           for k in range(1, 41)) / mpmath.pi
+                assert abs(cdf(law, -x) / want - 1) <= 1e-13, x
+        assert cdf(law, math.inf) == 1.0 and cdf(law, -math.inf) == 0.0
+
 
 class TestHeatKernelBounds:
     def test_margins_small_grid(self):

@@ -179,18 +179,18 @@ EXPECTED = {
     'hall/describe': "'HallTransform(a=0.3, b=0.24, c=0.2, alpha=1.5)'",
     'hall/discrepancy_l1/N=50.0': '0.7381821240783646',
     'hall/discrepancy_l1/N=inf': 'DomainError',
-    'hall/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.16025141867068338, std_error=0.05436762514857122, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.29092195703616824)",
-    'hall/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.04632302719958831, std_error=0.07485073897023868, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261981)",
-    'hall/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.4511733757068516, std_error=0.07630578058643665, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
-    'hall/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3608228936257864, std_error=0.08177961598717357, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
-    'hall/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.4083543077498136, std_error=0.09282951461556413, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
-    'hall/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.401065228567461, std_error=0.09765538040221143, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
+    'hall/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.010423209534449918, std_error=0.06607211466771024, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.29092195703616824)",
+    'hall/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.0, std_error=0.009515479841052141, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261981)",
+    'hall/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.30134516657061816, std_error=0.04682002509140092, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
+    'hall/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.27723065166074223, std_error=0.044172611087605236, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
+    'hall/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.23330582855968954, std_error=0.03418548985449466, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
+    'hall/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.2908968162629458, std_error=0.07620553358131155, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
     'hall/k_function/t=-0.3': '0.0009872948901439387',
     'hall/k_function/t=0.01': '0.00845494985909048',
     'hall/k_function/t=0.7': '0.0005206476681642478',
     'hall/optimize_gamma/n=1000000': '(0.8702388851659368, 1.7872548395281527)',
     'hall/rate_order': 'RateOrder(exponent=-0.14285714285714274, has_log_factor=False, in_log_n=False, classified=True)',
-    'hall/sample/sha256': "'0f6c6bee2511c1e9abdeb11a227704fbf4b982e68264d974d0e972838143ff89'",
+    'hall/sample/sha256': "'fe1db1ca2a9ae375114d817d387e2c047c720aa87c608dee09c6e836380eda0d'",
     'log/abs_central_moment': '4.048775541485023',
     'log/abs_tail_moment_zeta': '0.0007989989827974021',
     'log/bound_main/n=1000': 'SteinBoundReport(alpha=1.5, gamma=0.5, n=1000, N=3.7337772040218513, discrepancy_term=0.2584886401196332, truncation_term=1.7990746242955689, N_term=1.2387598370906838, gamma_term=1.4646567591494086, total=5.926704260543009, rate_exponent=-0.33333333333333337, has_log_factor=False)',
@@ -202,12 +202,12 @@ EXPECTED = {
     'log/describe': "'LogPerturbedPareto(alpha=1.5, beta=1.0, K0=6.94674, x0=5)'",
     'log/discrepancy_l1/N=50.0': '1.8135116395517856',
     'log/discrepancy_l1/N=inf': 'DomainError',
-    'log/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0, std_error=0.04534693096567105, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.29092195703616824)",
-    'log/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.35459845976867466, std_error=0.2963823669323207, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261981)",
-    'log/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.29027156092659856, std_error=0.0348822585480317, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
-    'log/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.6690983261948728, std_error=0.3280109714238726, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
-    'log/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.2213928294644391, std_error=0.024915277797356625, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
-    'log/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.702886220287633, std_error=0.37244707907272845, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
+    'log/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0, std_error=0.045346930965671106, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.29092195703616824)",
+    'log/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.35459845976867443, std_error=0.2963823669323205, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261981)",
+    'log/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.2902715609265985, std_error=0.034882258548031723, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
+    'log/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.6690983261948725, std_error=0.32801097142387253, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
+    'log/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.221392829464439, std_error=0.024915277797356618, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
+    'log/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.7028862202876329, std_error=0.37244707907272856, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
     'log/k_function/t=-0.3': '0.0008054095098456609',
     'log/k_function/t=0.01': '0.0033790103507920378',
     'log/k_function/t=0.7': '0.00047329600359664366',
@@ -227,9 +227,9 @@ EXPECTED = {
     'mp_beta1.8/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.01970552631873207, std_error=0.08305934230354643, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.29092195703616824)",
     'mp_beta1.8/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.1697329876285562, std_error=0.171918061811445, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261981)",
     'mp_beta1.8/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.3106274833549003, std_error=0.036011783058014814, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
-    'mp_beta1.8/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.4842328540547543, std_error=0.18886053264563102, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
-    'mp_beta1.8/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.2638056730179643, std_error=0.03243218601459777, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
-    'mp_beta1.8/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.4979462143771979, std_error=0.2282774408367786, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
+    'mp_beta1.8/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.4842328540547543, std_error=0.188860532645631, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
+    'mp_beta1.8/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.2638056730179643, std_error=0.032432186014597776, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
+    'mp_beta1.8/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.4979462143771979, std_error=0.22827744083677862, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
     'mp_beta1.8/k_function/t=-0.3': '0.001031792029203764',
     'mp_beta1.8/k_function/t=0.01': '0.009205434463357946',
     'mp_beta1.8/k_function/t=0.7': '0.0005406607365216768',
@@ -249,9 +249,9 @@ EXPECTED = {
     'mp_beta2/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0, std_error=0.0, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.29092195703616824)",
     'mp_beta2/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.0654876098035087, std_error=0.10943082012880737, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261981)",
     'mp_beta2/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.22246638386863002, std_error=0.03392626890816461, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
-    'mp_beta2/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3799874762297068, std_error=0.18320107616954392, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
-    'mp_beta2/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.19406162991658932, std_error=0.0343514581946863, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
-    'mp_beta2/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3867244595887578, std_error=0.2239566436446689, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
+    'mp_beta2/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3799874762297068, std_error=0.1832010761695439, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
+    'mp_beta2/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.19406162991658935, std_error=0.0343514581946863, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
+    'mp_beta2/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.38672445958875784, std_error=0.2239566436446689, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
     'mp_beta2/k_function/t=-0.3': '0.0009080986510125834',
     'mp_beta2/k_function/t=0.01': '0.008365531551398561',
     'mp_beta2/k_function/t=0.7': '0.00048023249689529545',
@@ -269,11 +269,11 @@ EXPECTED = {
     'mp_beta4/discrepancy_l1/N=50.0': '0.08164338342994998',
     'mp_beta4/discrepancy_l1/N=inf': '0.08164338372323822',
     'mp_beta4/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0, std_error=0.025410760286717966, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.29092195703616824)",
-    'mp_beta4/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.04815149932073681, std_error=0.10049795943428134, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261981)",
-    'mp_beta4/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.2613512341625388, std_error=0.0458102033605449, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
+    'mp_beta4/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.04815149932073681, std_error=0.10049795943428133, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261981)",
+    'mp_beta4/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.2613512341625388, std_error=0.04581020336054493, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
     'mp_beta4/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3626513657469349, std_error=0.17042117306029375, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
     'mp_beta4/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.24588772738233228, std_error=0.03417547076716353, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
-    'mp_beta4/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3540118068720703, std_error=0.22294652092658424, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
+    'mp_beta4/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3540118068720703, std_error=0.22294652092658418, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
     'mp_beta4/k_function/t=-0.3': '0.0008249433883961264',
     'mp_beta4/k_function/t=0.01': '0.00608312590148359',
     'mp_beta4/k_function/t=0.7': '0.00044762328899228623',

@@ -252,17 +252,32 @@ class TestEmpiricalW1:
 
 
 class TestFitRate:
-    @pytest.mark.parametrize("family", ["pareto", "mp_beta4"])
-    def test_per_n_equals_separate_calls(self, family, request):
-        # drawing once for the grid (Pareto) or once per n (the Newton-loop
-        # families), with the bias floor computed once, changes no bit of
-        # what separate sample_sum + empirical_w1 calls give
+    @pytest.mark.parametrize("family, dropped", [
+        ("pareto", (400,)), ("mp_beta4", (400,)), ("hall", ()), ("log_pareto", ())],
+        ids=["pareto", "mp_beta4", "hall", "log_pareto"])
+    def test_per_n_equals_separate_calls(self, family, dropped, request):
+        # drawing each replicate once for the grid, with the bias floor
+        # computed once, changes no bit of what separate sample_sum +
+        # empirical_w1 calls give
         spec = request.getfixturevalue("pareto15" if family == "pareto" else family)
         grid = [100, 200, 400, 800]
         fit = fit_rate(spec, 1.5, grid, 3000, seed=5)
         for n, res in zip(grid, fit.per_n):
             assert res == empirical_w1(sample_sum(spec, n, 3000, 5)), n
-        assert fit.dropped == ((400, "non-positive corrected estimate"),)
+        assert fit.dropped == tuple((n, "non-positive corrected estimate") for n in dropped)
+
+    def test_two_term_fit_draws_each_replicate_once(self, mp_beta4, monkeypatch):
+        widths = []
+        real = ModifiedPareto.sample
+
+        def spy(self, rng, size=None):
+            widths.append(size)
+            return real(self, rng, size)
+
+        monkeypatch.setattr(ModifiedPareto, "sample", spy)
+        fit_rate(mp_beta4, 1.5, [100, 200, 400, 800], 300, seed=5,
+                 estimator="one_sample_quantile")
+        assert widths == [800] * 300
 
     def test_two_sample_reference_drawn_once_per_fit(self, pareto15, monkeypatch):
         import stable_stein.sampling as smp
@@ -295,14 +310,17 @@ class TestFitRate:
                                  estimator="one_sample_quantile"))
         assert fits[0] == fits[1]
 
-    @pytest.mark.parametrize("threads", [2, 5])
-    def test_thread_count_invariant(self, pareto15, threads, monkeypatch):
+    @pytest.mark.parametrize("family, threads", [
+        pytest.param("pareto15", 2, id="2"), pytest.param("pareto15", 5, id="5"),
+        pytest.param("mp_beta4", 2, id="mp_beta4-2")])
+    def test_thread_count_invariant(self, family, threads, monkeypatch, request):
+        spec = request.getfixturevalue(family)
         grid = [100, 200, 400, 800]
         monkeypatch.setenv("STABLE_STEIN_THREADS", "1")
-        f1 = fit_rate(pareto15, 1.5, grid, 2000, seed=7,
+        f1 = fit_rate(spec, 1.5, grid, 2000, seed=7,
                       estimator="one_sample_quantile")
         monkeypatch.setenv("STABLE_STEIN_THREADS", str(threads))
-        fk = fit_rate(pareto15, 1.5, grid, 2000, seed=7,
+        fk = fit_rate(spec, 1.5, grid, 2000, seed=7,
                       estimator="one_sample_quantile")
         assert f1 == fk
 
