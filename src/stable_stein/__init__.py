@@ -29,7 +29,6 @@ from .bounds import (
     figure_gamma_curves,
     log_example_A_n,
     optimize_gamma,
-    pareto_bound_closed,
     pareto_bound_table,
     rate_order,
 )

@@ -24,13 +24,15 @@ E xi = 0 the remainder reduces to
               + 4 d_alpha ( (alpha+1)/(alpha-1) + M2(ell^{1/alpha} N)
               + int_1^inf M2(ell^{1/alpha} N r) r^{-alpha} dr ) N^{1-alpha}.
 
-For the plain power law the whole bound collapses to the closed form
+For the plain power law at N = inf the whole bound collapses to the closed form
 
     total(n, gamma) = D_alpha/(2-alpha) (2 d_alpha/alpha)^{2/alpha} n^{-(2-alpha)/alpha}
                     + alpha D_{alpha,gamma}/(alpha-gamma)
                       (2 d_alpha/alpha)^{gamma/alpha} n^{-gamma/alpha},
 
-which regenerates the reference bound table at n = 10^6.
+which regenerates the reference bound table at n = 10^6.  The extended
+precision mirror ``highprec.hp_pareto_bound_total`` implements this formula;
+the double-precision table takes every cell from ``bound_main``.
 
 N = inf is a first-class value: it is accepted exactly when every term has a
 finite analytic limit (plain power law always; the two-term family only for
@@ -83,7 +85,6 @@ __all__ = [
     "example2_bound",
     "optimize_gamma",
     "log_example_A_n",
-    "pareto_bound_closed",
     "default_truncation",
     "constants_table_d",
     "constants_table_dgamma",
@@ -292,19 +293,8 @@ def rate_order(spec: DistributionSpec) -> RateOrder:
 
 
 # ---------------------------------------------------------------------------
-# closed Pareto bound and tables
+# tables
 # ---------------------------------------------------------------------------
-
-def pareto_bound_closed(alpha: float, gamma: float, n: int) -> float:
-    """Closed-form total for the plain power law at N = inf."""
-    _validate_bound_args(alpha, gamma, n, math.inf)
-    da = d_alpha(alpha)
-    lead = D_alpha(alpha) / (2.0 - alpha) * (2.0 * da / alpha) ** (2.0 / alpha) * \
-        float(n) ** (-(2.0 - alpha) / alpha)
-    gam = alpha * D_alpha_gamma(alpha, gamma) / (alpha - gamma) * \
-        (2.0 * da / alpha) ** (gamma / alpha) * float(n) ** (-gamma / alpha)
-    return lead + gam
-
 
 def constants_table_d(alphas: Sequence[float]) -> list:
     return [D_alpha(a) for a in alphas]
@@ -315,19 +305,10 @@ def constants_table_dgamma(alphas: Sequence[float], gammas: Sequence[float]) -> 
     return [[D_alpha_gamma(a, g) for a in alphas] for g in gammas]
 
 
-def pareto_bound_table(n: int, alphas: Sequence[float], gammas: Sequence[float],
-                       precision: str = "double") -> list:
-    """Bound totals for the plain power law on a (gamma x alpha) grid.
-
-    precision="extended" routes through the high-precision mirror (slow;
-    used as the acceptance oracle)."""
-    if precision == "extended":
-        from .highprec import hp_pareto_bound_total
-
-        return [[float(hp_pareto_bound_total(a, g, n)) for a in alphas] for g in gammas]
-    if precision != "double":
-        raise DomainError(f"unknown precision {precision!r}")
-    return [[pareto_bound_closed(a, g, n) for a in alphas] for g in gammas]
+def pareto_bound_table(n: int, alphas: Sequence[float], gammas: Sequence[float]) -> list:
+    """Bound totals for the plain power law at N = inf on a (gamma x alpha)
+    grid, each cell from ``bound_main``."""
+    return [[bound_main(Pareto(a), a, n, math.inf, g).total for a in alphas] for g in gammas]
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +319,18 @@ def example2_bound(A: float, B: float, alpha: float, beta: float, gamma: float,
                    n: int) -> Example2Report:
     """Bound for the two-term power family with the case-split bookkeeping.
 
-    Case 1 (beta > 2): N = inf; case 2 (beta = 2): N = ell^q with
-    q = (2-alpha)/(alpha(alpha-1)); case 3 (alpha < beta < 2): N = ell^q with
-    q = (beta-alpha)/(alpha(alpha+1-beta)).  leading_term + remainder_term
-    regroups the same total as displayed in the per-case closed forms.
+    N is the law's ``default_truncation``: inf in case 1 (beta > 2), else
+    ell^q with q = (2-alpha)/(alpha(alpha-1)) in case 2 (beta = 2) and
+    q = (beta-alpha)/(alpha(alpha+1-beta)) in case 3 (alpha < beta < 2).
+    leading_term + remainder_term regroups the same total as displayed in
+    the per-case closed forms.
     """
-    if beta <= alpha:
-        raise DomainError(f"two-term family requires beta > alpha, got beta={beta}")
     spec = ModifiedPareto(alpha=alpha, beta=beta, A=A, B=B)
     da = d_alpha(alpha)
     Da = D_alpha(alpha)
     ell = spec.ell(n)
     case, q = spec.truncation_case()
-    base = bound_mthm2(spec, alpha, n, math.inf if case == 1 else ell ** q, gamma)
+    base = bound_mthm2(spec, alpha, n, spec.default_truncation(n), gamma)
     if case == 1:
         leading = (2.0 * da * Da / alpha) * (
             1.0 / (2.0 - alpha) + B / (A * (beta - 2.0))

@@ -116,8 +116,6 @@ def _parse_finite(text: str, positive: bool) -> float:
 
 
 def _parse_n_value(text: str) -> float:
-    if text in ("inf", "Inf", "INF"):
-        return math.inf
     if text == "auto":
         return text
     return float(text)
@@ -179,25 +177,25 @@ def build_spec(args) -> object:
 def cmd_constants(args):
     alphas = args.alpha_grid
     gammas = args.gamma_grid
+    extended = args.precision == "extended"
     lines = []
+    # each double table first, as in cmd_table3
     if args.table in ("1", "both"):
-        if args.precision == "extended":
+        row = bnd.constants_table_d(alphas)
+        if extended:
             from .highprec import hp_D_alpha
 
             row = [float(hp_D_alpha(a)) for a in alphas]
-        else:
-            row = bnd.constants_table_d(alphas)
         lines.append("alpha," + ",".join(_fmt(a) for a in alphas))
         lines.append("D_alpha," + ",".join(_fmt(v) for v in row))
     if args.table == "both":
         lines.append("")
     if args.table in ("2", "both"):
-        if args.precision == "extended":
+        grid = bnd.constants_table_dgamma(alphas, gammas)
+        if extended:
             from .highprec import hp_D_alpha_gamma
 
             grid = [[float(hp_D_alpha_gamma(a, g)) for a in alphas] for g in gammas]
-        else:
-            grid = bnd.constants_table_dgamma(alphas, gammas)
         lines.append("gamma," + ",".join(_fmt(a) for a in alphas))
         for g, row in zip(gammas, grid):
             lines.append(_fmt(g) + "," + ",".join(_fmt(v) for v in row))
@@ -205,8 +203,14 @@ def cmd_constants(args):
 
 
 def cmd_table3(args):
-    grid = bnd.pareto_bound_table(int(args.n), args.alpha_grid, args.gamma_grid,
-                                  precision=args.precision)
+    n = int(args.n)
+    # the double grid first: its checks reject what the mirror would take
+    grid = bnd.pareto_bound_table(n, args.alpha_grid, args.gamma_grid)
+    if args.precision == "extended":
+        from .highprec import hp_pareto_bound_total
+
+        grid = [[float(hp_pareto_bound_total(a, g, n)) for a in args.alpha_grid]
+                for g in args.gamma_grid]
     lines = ["gamma," + ",".join(_fmt(a) for a in args.alpha_grid)]
     for g, row in zip(args.gamma_grid, grid):
         lines.append(_fmt(g) + "," + ",".join(_fmt(v) for v in row))

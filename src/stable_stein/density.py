@@ -32,7 +32,7 @@ import math
 import threading
 from dataclasses import dataclass
 
-from ._quad import brentq, panel_nodes
+from ._quad import brentq, gl_rule, panel_nodes
 from .errors import DomainError
 from .special import d_alpha
 
@@ -131,43 +131,38 @@ def _fourier_integral(theta: float, x: float, alpha: float, kind: str) -> float:
     return total
 
 
+def _check_osc(who: str, theta: float, alpha: float) -> None:
+    if not (theta > -1.0):
+        raise DomainError(f"{who} requires theta > -1, got {theta}")
+    if not (0.0 < alpha < 2.0):
+        raise DomainError(f"{who} requires alpha in (0, 2), got {alpha}")
+
+
 def osc_integral_I(theta: float, x: float, alpha: float) -> float:
     """I_theta(x) = int_0^inf l^theta e^{-l^alpha} cos(l x) dl, theta > -1.
 
     Satisfies |I_theta(x)| <= Gamma((theta+1)/alpha)/alpha for all x.
     """
-    if not (theta > -1.0):
-        raise DomainError(f"osc_integral_I requires theta > -1, got {theta}")
-    if not (0.0 < alpha < 2.0):
-        raise DomainError(f"osc_integral_I requires alpha in (0, 2), got {alpha}")
+    _check_osc("osc_integral_I", theta, alpha)
     return _fourier_integral(theta, x, alpha, "cos")
 
 
 def osc_integral_J(theta: float, x: float, alpha: float) -> float:
     """J_theta(x) = int_0^inf l^theta e^{-l^alpha} sin(l x) dl, theta > -1."""
-    if not (theta > -1.0):
-        raise DomainError(f"osc_integral_J requires theta > -1, got {theta}")
-    if not (0.0 < alpha < 2.0):
-        raise DomainError(f"osc_integral_J requires alpha in (0, 2), got {alpha}")
+    _check_osc("osc_integral_J", theta, alpha)
     return _fourier_integral(theta, x, alpha, "sin")
 
 
-def _density1(x: float, alpha: float) -> float:
+def _density1(x: float, alpha: float, order: int = 0) -> float:
+    """p, p' or p'' (order 0, 1, 2) of the unit-scale law at x: the tail
+    series beyond ``_TAIL_SWITCH``, else the inversion p = I_0(x)/pi,
+    p' = -J_1(x)/pi, p'' = -I_2(x)/pi."""
     if abs(x) > _TAIL_SWITCH:
-        return _tail_density(x, alpha, 0)
-    return _fourier_integral(0.0, abs(x), alpha, "cos") / math.pi
-
-
-def _density1_d1(x: float, alpha: float) -> float:
-    if abs(x) > _TAIL_SWITCH:
-        return _tail_density(x, alpha, 1)
-    return -_fourier_integral(1.0, x, alpha, "sin") / math.pi
-
-
-def _density1_d2(x: float, alpha: float) -> float:
-    if abs(x) > _TAIL_SWITCH:
-        return _tail_density(x, alpha, 2)
-    return -_fourier_integral(2.0, abs(x), alpha, "cos") / math.pi
+        return _tail_density(x, alpha, order)
+    if order == 1:
+        return -_fourier_integral(1.0, x, alpha, "sin") / math.pi
+    val = _fourier_integral(float(order), abs(x), alpha, "cos") / math.pi
+    return -val if order else val
 
 
 def _cdf1(x: float, alpha: float) -> float:
@@ -234,9 +229,7 @@ def density_deriv(law: StableLaw, x: float, order: int) -> float:
     """First or second derivative of the density at x."""
     if order not in (1, 2):
         raise DomainError(f"density_deriv order must be 1 or 2, got {order}")
-    if order == 1:
-        return _density1_d1(x, law.alpha)
-    return _density1_d2(x, law.alpha)
+    return _density1(x, law.alpha, order)
 
 
 def cdf(law: StableLaw, x: float) -> float:
@@ -315,8 +308,8 @@ def verify_hk_bounds(alpha: float, x_grid) -> HeatKernelMargins:
     m3 = math.inf
     m4 = math.inf
     for x in xs:
-        p1 = abs(_density1_d1(float(x), alpha))
-        p2 = abs(_density1_d2(float(x), alpha))
+        p1 = abs(_density1(float(x), alpha, 1))
+        p2 = abs(_density1(float(x), alpha, 2))
         m1 = min(m1, b1 - p1)
         m3 = min(m3, b3 - p2)
         if x != 0.0:
@@ -468,7 +461,7 @@ class QuantileTable:
         i_hi = int(math.floor(self.u_hi * m))               # last fully covered cell
         i_lo = min(max(i_lo, 2), m + 1)
         i_hi = min(i_hi, m - 1)
-        nodes, weights = np.polynomial.legendre.leggauss(4)
+        nodes, weights = gl_rule(4)
         width = 1.0 / m
         q = np.empty((0, 4))
         if i_hi >= i_lo:

@@ -697,9 +697,6 @@ class GeneralTail(DistributionSpec):
     def a_thresh(self) -> float:
         return self.A_thresh
 
-    def m1(self, x):
-        return float(self.m1_fn(float(x)))
-
     def m2(self, x):
         return float(self.m2_fn(float(x)))
 
@@ -827,27 +824,20 @@ def abs_tail_moment_zeta(spec: DistributionSpec, n: int, N: float) -> float:
     return sum(_one_sided_tail_moment(spec, sgn, root, mu, N) for sgn in (1.0, -1.0))
 
 
-def _k_closed_two_term(spec, n: int, t, N: float):
+def _k_closed_two_term(spec, n: int, t: float, N: float) -> float:
     """Closed-form K1 from the law's ``k1_power_terms`` (mean zero)."""
-    import numpy as np
-
     alpha = spec.alpha
     ell = spec.ell(n)
     root = ell ** (1.0 / alpha)
-    pairs = spec.k1_power_terms
-    t = np.asarray(t, dtype=float)
-    ta = np.abs(t)
-    out = np.zeros_like(ta)
-    live = ta <= N
-    if root * N > 1.0:
-        lo = np.maximum(ta, 1.0 / root)
-        for coef, expo in pairs:
-            piece = coef / (2.0 * ell ** (expo / alpha) * (expo - 1.0)) * (
+    ta = abs(t)
+    out = 0.0
+    if ta <= N and root * N > 1.0:
+        lo = max(ta, 1.0 / root)
+        for coef, expo in spec.k1_power_terms:
+            out += coef / (2.0 * ell ** (expo / alpha) * (expo - 1.0)) * (
                 lo ** (1.0 - expo) - N ** (1.0 - expo)
             )
-            out = np.where(live, out + piece, out)
-    out = np.maximum(out, 0.0)
-    return out if out.ndim else float(out)
+    return max(out, 0.0)
 
 
 def _k_quadrature(spec, n: int, t: float, N: float) -> float:
@@ -866,19 +856,21 @@ def _k_quadrature(spec, n: int, t: float, N: float) -> float:
     return max(val, 0.0)
 
 
-def k_function(spec: DistributionSpec, alpha: float, n: int, t, N: float):
-    """Truncated K function of one normalized summand.
+def _k1_rule(spec: DistributionSpec):
+    """The scalar K1 rule of the law: the closed form when it has
+    ``k1_power_terms``, else the tail-integral identity."""
+    return _k_quadrature if spec.k1_power_terms is None else _k_closed_two_term
 
-    A law with ``k1_power_terms`` has the closed form; anything else goes
-    through the tail-integral identity (``_k_quadrature``).
-    """
+
+def k_function(spec: DistributionSpec, alpha: float, n: int, t, N: float):
+    """Truncated K function of one normalized summand, the law's scalar
+    rule (``_k1_rule``) mapped over t."""
     check_spec_alpha(spec, alpha)
     _count("n", n)
     if not (N > 0.0):
         raise DomainError(f"k_function requires N > 0, got {N}")
-    if spec.k1_power_terms is not None:
-        return _k_closed_two_term(spec, n, t, N)
-    return _map_scalar(lambda tt: _k_quadrature(spec, n, tt, N), t)
+    rule = _k1_rule(spec)
+    return _map_scalar(lambda tt: rule(spec, n, tt, N), t)
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +891,7 @@ def _discrepancy_quadrature(spec: DistributionSpec, n: int, N: float) -> float:
     alpha = spec.alpha
     da = d_alpha(alpha)
     ell = spec.ell(n)
-    k1 = _k_quadrature if spec.k1_power_terms is None else _k_closed_two_term
+    k1 = _k1_rule(spec)
 
     def n_k(t):
         return n * k1(spec, n, t, N)

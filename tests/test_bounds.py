@@ -15,11 +15,11 @@ from stable_stein.bounds import (
     figure_gamma_curves,
     log_example_A_n,
     optimize_gamma,
-    pareto_bound_closed,
     pareto_bound_table,
     rate_order,
 )
 from stable_stein.errors import DomainError
+from stable_stein.highprec import hp_pareto_bound_total
 from stable_stein.kernels import (
     GeneralTail,
     HallTransform,
@@ -44,7 +44,7 @@ class TestBoundMain:
                                   (1.9, 0.9, 10 ** 8)]:
             rep = bound_main(Pareto(alpha), alpha, n, math.inf, gamma)
             assert rep.total == pytest.approx(
-                pareto_bound_closed(alpha, gamma, n), rel=1e-13)
+                float(hp_pareto_bound_total(alpha, gamma, n)), rel=1e-13)
 
     def test_assembly_identity(self):
         rep = bound_main(Pareto(1.5), 1.5, 10 ** 5, 20.0, 0.4)
@@ -55,7 +55,7 @@ class TestBoundMain:
 
     def test_anchor_cells(self):
         for alpha, gamma, printed in BOUND_ANCHOR_CELLS:
-            assert pareto_bound_closed(alpha, gamma, 10 ** 6) == pytest.approx(
+            assert float(hp_pareto_bound_total(alpha, gamma, 10 ** 6)) == pytest.approx(
                 printed, abs=5e-3)
 
     def test_pareto_truncation_closed_form(self):
@@ -324,6 +324,15 @@ class TestExample2:
         with pytest.raises(DomainError):
             example2_bound(1.0, 1.0, 1.5, 1.4, 0.5, 100)
 
+    def test_truncation_level_is_the_laws(self):
+        # near alpha = 1 the case-2 exponent q is about 97: ell ** q overflows,
+        # the law's default truncation level does not
+        a, g, n = 1.01, 0.5, 10 ** 4
+        spec = equal_weight_mp(a, 2.0)
+        rep = example2_bound(spec.A, spec.B, a, 2.0, g, n)
+        want = bound_mthm2(spec, a, n, spec.default_truncation(n), g).total
+        assert math.isfinite(rep.total) and rep.total == want
+
 
 def unmemoized_optimize_gamma(spec, alpha, n, N):
     """Frozen copy of optimize_gamma's scan and refinement from before the
@@ -443,7 +452,7 @@ class TestOptimizeGamma:
         spec = Pareto(1.5)
         g_star, t_star = optimize_gamma(spec, 1.5, 10 ** 6, math.inf)
         dense = np.linspace(0.005, 0.995, 1981)
-        totals = [pareto_bound_closed(1.5, float(g), 10 ** 6) for g in dense]
+        totals = [bound_main(spec, 1.5, 10 ** 6, math.inf, float(g)).total for g in dense]
         g_brute = float(dense[int(np.argmin(totals))])
         assert abs(g_star - g_brute) <= 0.005
         assert t_star <= min(totals) + 1e-12
@@ -510,7 +519,7 @@ class TestBoundTable:
         alphas = [1.1, 1.5, 1.9]
         gammas = [0.1, 0.5, 0.9]
         dbl = pareto_bound_table(10 ** 6, alphas, gammas)
-        ext = pareto_bound_table(10 ** 6, alphas, gammas, precision="extended")
+        ext = [[float(hp_pareto_bound_total(a, g, 10 ** 6)) for a in alphas] for g in gammas]
         for r1, r2 in zip(dbl, ext):
             for v1, v2 in zip(r1, r2):
                 assert abs(v1 - v2) / v2 <= 1e-6

@@ -90,9 +90,9 @@ class TestBoundCommand:
         assert obj["N"] == "inf"
         assert set(obj["terms"]) == {"discrepancy", "truncation", "N_term", "gamma_term"}
         # total for the plain power law at gamma = 0.9, n = 1e6
-        from stable_stein.bounds import pareto_bound_closed
+        from stable_stein.highprec import hp_pareto_bound_total
 
-        assert obj["total"] == pytest.approx(pareto_bound_closed(1.5, 0.9, 10 ** 6))
+        assert obj["total"] == pytest.approx(float(hp_pareto_bound_total(1.5, 0.9, 10 ** 6)))
 
     def test_numeric_failure_exit_code(self):
         # beta < 2 with N = inf is a domain failure -> exit 1 + JSON error
@@ -489,6 +489,25 @@ class TestNoRawTraceback:
          "--B", "4"],
         ["bound", "--spec", "modified-pareto", "--beta", "3", "--A", "1e-300", "--N", "1.01"],
     ]
+    # table arguments that double precision rejects
+    BAD_TABLES = [
+        ["table3", "--alpha-grid", "2.5,1.5", "--gamma-grid", "0.5"],
+        ["table3", "--alpha-grid", "1.0"],
+        ["table3", "--gamma-grid", "1.5"],
+        ["constants", "--alpha-grid", "2.5"],
+    ]
+    ARGVS += [argv + ["--precision", "extended"] for argv in BAD_TABLES]
+
+    @pytest.mark.parametrize("argv", BAD_TABLES, ids=" ".join)
+    def test_extended_precision_rejects_as_double_does(self, argv, capsys):
+        # the mirror runs only on a grid the double-precision checks passed
+        out = {}
+        for precision in ("double", "extended"):
+            code = main(argv + ["--precision", precision])
+            out[precision] = (code, capsys.readouterr().out)
+        assert out["extended"] == out["double"]
+        assert out["double"][0] == 1
+        assert json.loads(out["double"][1])["error"] == "DomainError"
 
     @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
     def test_json_error_object(self, argv, capsys):

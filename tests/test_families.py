@@ -145,8 +145,8 @@ def _pin(fn):
 EXPECTED = {
     'cli/bound --spec hall --A 0.6 --c 0.2 --alpha 1.5 --gamma 0.5 --n 1000000': '\'{"N": 58.20041115655075, "alpha": 1.5, "gamma": 0.5, "has_log_factor": false, "n": 1000000, "rate_exponent": -0.14285714285714274, "terms": {"N_term": 0.3137605154856669, "discrepancy": 0.2022096624916334, "gamma_term": 0.2299047728627935, "truncation": 0.3164560335182479}, "total": 1.9742501207291345}\\n\'',
     'cli/rate-order --spec hall --A 0.6 --c 0.2 --alpha 1.5': '\'{"classified": true, "exponent": -0.14285714285714274, "has_log_factor": false, "in_log_n": false, "spec": "HallTransform(a=0.3, b=0.24, c=0.2, alpha=1.5)"}\\n\'',
-    'example2_bound/beta=1.8': 'Example2Report(alpha=1.5, gamma=0.5, n=1000000, N=56.63691263369341, discrepancy_term=0.25426829055006733, truncation_term=0.4823575364171491, N_term=0.3180618133036512, gamma_term=0.23629873965020817, total=2.4376779725371764, rate_exponent=-0.1428571428571429, has_log_factor=False, case=3, q_exponent=0.2857142857142858, leading_term=2.2555274849995204, remainder_term=0.18215048753765606)',
-    'example2_bound/beta=2.0': 'Example2Report(alpha=1.5, gamma=0.5, n=1000000, N=12706.753068765367, discrepancy_term=0.07396639257981641, truncation_term=0.03185314868946527, N_term=0.021234596896192275, gamma_term=0.22961200726962705, total=0.6902375881184597, rate_exponent=-0.3333333333333333, has_log_factor=True, case=2, q_exponent=0.6666666666666666, leading_term=0.3685385846128568, remainder_term=0.3216990035056029)',
+    'example2_bound/beta=1.8': 'Example2Report(alpha=1.5, gamma=0.5, n=1000000, N=56.636912633693434, discrepancy_term=0.25426829055006733, truncation_term=0.4823575364171491, N_term=0.31806181330365113, gamma_term=0.23629873965020817, total=2.4376779725371764, rate_exponent=-0.1428571428571429, has_log_factor=False, case=3, q_exponent=0.2857142857142858, leading_term=2.2555274849995204, remainder_term=0.18215048753765606)',
+    'example2_bound/beta=2.0': 'Example2Report(alpha=1.5, gamma=0.5, n=1000000, N=12706.753068765369, discrepancy_term=0.07396639257981641, truncation_term=0.03185314868946526, N_term=0.021234596896192275, gamma_term=0.22961200726962705, total=0.6902375881184597, rate_exponent=-0.3333333333333333, has_log_factor=True, case=2, q_exponent=0.6666666666666666, leading_term=0.3685385846128568, remainder_term=0.3216990035056029)',
     'example2_bound/beta=4.0': 'Example2Report(alpha=1.5, gamma=0.5, n=1000000, N=inf, discrepancy_term=0.008164338372323823, truncation_term=0.0, N_term=0.0, gamma_term=0.20802421030146928, total=0.25300783963045803, rate_exponent=-0.3333333333333333, has_log_factor=False, case=1, q_exponent=None, leading_term=0.04498362932898875, remainder_term=0.20802421030146928)',
     'general/abs_central_moment': '0.9755898883572696',
     'general/abs_tail_moment_zeta': '0.0005352372432070155',

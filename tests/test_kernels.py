@@ -178,8 +178,8 @@ class TestSummandLaws:
         # below, at and above A_thresh
         gt = GeneralTail(alpha=1.5, theta_scale=1.0, A_thresh=2.0,
                          m1_fn=lambda x: 0.5 * x ** -2.0, m2_fn=lambda x: 0.1 / x)
-        # m1 and m2 are the model functions themselves, unclamped
-        names = ("tail_pos", "tail_neg", "tail_abs") + (("m1", "m2") if x > 0.0 else ())
+        # m2 is the model function itself, unclamped
+        names = ("tail_pos", "tail_neg", "tail_abs") + (("m2",) if x > 0.0 else ())
         for name in names:
             method = getattr(gt, name)
             want = repr(method(float(x)))
@@ -434,6 +434,15 @@ class TestKFunction:
     def test_alpha_mismatch(self, pareto15):
         with pytest.raises(DomainError):
             k_function(pareto15, 1.4, 100, 0.1, 5.0)
+
+    @pytest.mark.parametrize("family", ["pareto15", "mp_beta4"])
+    def test_array_equals_scalar_calls(self, family, request):
+        # one scalar rule, mapped over the array
+        spec = request.getfixturevalue(family)
+        t = np.linspace(-6.0, 6.0, 2001)
+        got = k_function(spec, 1.5, 1000, t, 5.0)
+        want = [k_function(spec, 1.5, 1000, float(v), 5.0) for v in t]
+        assert got.shape == t.shape and got.tolist() == want
 
 
 def upper_tail_moment(spec, t, n=1000):
