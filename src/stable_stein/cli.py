@@ -516,7 +516,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         lines = _DISPATCH[args.command](args)
     except (DomainError, ConvergenceError, NonFiniteSampleError, ValueError,
-            ArithmeticError) as exc:
+            ArithmeticError, MemoryError) as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ConvergenceError):
             err.update(partial=_strict_json(exc.partial),

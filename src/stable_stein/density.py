@@ -412,6 +412,8 @@ class QuantileTable:
     cheap to evaluate on large arrays.
     """
 
+    _CELLS = 2048       # cells per evaluation in cell_quantiles
+
     def __init__(self, alpha: float):
         import numpy as np
 
@@ -463,11 +465,11 @@ class QuantileTable:
         i_hi = min(i_hi, m - 1)
         nodes, weights = gl_rule(4)
         width = 1.0 / m
-        q = np.empty((0, 4))
-        if i_hi >= i_lo:
-            left = (np.arange(i_lo - 1, i_hi)) / m
+        q = np.empty((max(i_hi - i_lo + 1, 0), 4))
+        for a in range(0, len(q), self._CELLS):     # a bounded working set
+            left = (i_lo - 1 + np.arange(a, min(a + self._CELLS, len(q)))) / m
             u_nodes = left[:, None] + width * 0.5 * (nodes[None, :] + 1.0)
-            q = self(u_nodes.ravel()).reshape(u_nodes.shape)
+            q[a:a + left.size] = self(u_nodes.ravel()).reshape(u_nodes.shape)
         w = weights * width * 0.5
         q.flags.writeable = w.flags.writeable = False    # shared by every caller
         return i_lo, i_hi, q, w

@@ -870,6 +870,8 @@ def k_function(spec: DistributionSpec, alpha: float, n: int, t, N: float):
     if not (N > 0.0):
         raise DomainError(f"k_function requires N > 0, got {N}")
     rule = _k1_rule(spec)
+    if isinstance(t, (int, float)):     # np.float64 too; loads no numpy
+        return float(rule(spec, n, float(t), N))
     return _map_scalar(lambda tt: rule(spec, n, tt, N), t)
 
 
@@ -1050,7 +1052,7 @@ def solve_log_tail_scale(K0: float, x0: float, alpha: float, beta: float,
             break
         a = nxt
     residual = abs(a ** alpha / (K0 * n * math.log(a) ** beta) - 1.0)
-    if residual > 1e-10:
+    if not residual <= 1e-10:       # a NaN residual fails too
         raise ConvergenceError(
             f"threshold iteration stalled at residual {residual:.2e}",
             partial=a, achieved_tol=residual, trace=trace,

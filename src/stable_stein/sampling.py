@@ -16,13 +16,17 @@ function e^{-|l|^alpha}, at unit scale, with alpha taken from the batch's
 summand law.
 
 The replicate loop does not build a generator per replicate: each worker
-owns one Philox and re-keys it (key as above, counter 0, empty buffer) for
-every replicate, which yields the same streams as ``substream`` at a
-fraction of the set-up cost.  Every family's ``sample`` works element by
-element: it draws the same first k values of a stream whatever the size
-asked for, so ``fit_rate`` draws each replicate once, at the largest n of
-its grid, and sums prefixes of it for the smaller n.  The sums are
-bit-identical to separate ``sample_sum`` calls.
+owns one Philox per replicate of a 32-replicate block and re-keys it (key
+as above, counter 0, empty buffer) for every replicate, which yields the
+same streams as ``substream`` at a fraction of the set-up cost.  Every
+family's ``sample`` works element by element: it draws the same first k
+values of a stream whatever the size asked for, and a second call on the
+same generator continues the stream.  So a block draws its rows in
+32768-column slices into one buffer that the worker reuses, and each
+worker holds at most 32 x 32768 floats (8.4 MB) whatever n is; and
+``fit_rate`` draws each replicate once, up to the largest n of its grid,
+and sums prefixes of it for the smaller n.  The sums are bit-identical to
+whole-row draws and to separate ``sample_sum`` calls.
 
 Estimators
 ----------
@@ -117,26 +121,28 @@ def substream(seed: int, kind: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _restream(seed: int, kind: int):
-    """One Philox stepped through the streams (seed, kind, index) of one kind.
+def _restream(seed: int, kind: int, slots: int):
+    """``slots`` Philox stepped through the streams (seed, kind, index) of one kind.
 
-    Builds ``substream(seed, kind, 0)`` once; the returned ``seek(index)``
-    re-keys its bit generator (key as above, counter 0, empty buffer) and
-    returns it in the same state as ``substream(seed, kind, index)``, without
-    building and seeding a new bit generator per index.  Not thread-safe:
+    Builds ``substream(seed, kind, 0)`` once per slot; the returned
+    ``seek(index, slot)`` re-keys that slot's bit generator (key as above,
+    counter 0, empty buffer) and returns it in the same state as
+    ``substream(seed, kind, index)``, without building and seeding a new bit
+    generator per index.  Each slot keeps its own position, so the streams
+    of a block of replicates can be drawn slice by slice.  Not thread-safe:
     each worker owns one.
     """
-    rng = substream(seed, kind, 0)
+    rngs = [substream(seed, kind, 0) for _ in range(slots)]
     state = {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, 0], "key": _stream_key(seed, kind, 0)},
         "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
 
-    def seek(index: int) -> Generator:
+    def seek(index: int, slot: int) -> Generator:
         state["state"]["key"] = _stream_key(seed, kind, index)
-        rng.bit_generator.state = state
-        return rng
+        rngs[slot].bit_generator.state = state
+        return rngs[slot]
 
     return seek
 
@@ -197,7 +203,7 @@ class SampleBatch:
 
 
 _CHUNK = 1 << 15
-_BLOCK = 256          # replicates drawn into one row block
+_BLOCK = 32           # replicates drawn together, slice by slice
 _FLOOR_BATCHES = 5
 _JACKKNIFE_K = 20
 
@@ -227,22 +233,16 @@ def _one_fit():
         _fit_memo.reset(token)
 
 
-def _compensated_row_sums(x: np.ndarray) -> np.ndarray:
-    """Row sums with exact combination of chunk partials."""
-    import numpy as np
-
-    n = x.shape[1]
-    if n <= _CHUNK:
-        return x.sum(axis=1)
-    parts = [x[:, i:i + _CHUNK].sum(axis=1) for i in range(0, n, _CHUNK)]
-    return np.array([math.fsum(col) for col in np.column_stack(parts)])
-
-
 def _sample_sums(spec: DistributionSpec, ns: Sequence[int], m: int, seed: int) -> list:
     """One SampleBatch per n of ns, all with the same m and seed.
 
-    Replicate r draws from stream (seed, SUMMANDS, r), once, at max(ns);
-    every n sums a prefix of the same row.
+    Replicate r draws from stream (seed, SUMMANDS, r), once, up to max(ns);
+    every n sums a prefix of the same row.  A block of _BLOCK replicates
+    draws its rows in _CHUNK-column slices into one buffer, each replicate
+    continuing its own stream, so a worker holds at most _BLOCK x _CHUNK
+    floats (8.4 MB) whatever n is.  Each n sums each slice's columns below
+    it: one slice gives the plain row sum, several give the exact ``fsum``
+    of the slice sums.
     """
     import numpy as np
 
@@ -255,14 +255,24 @@ def _sample_sums(spec: DistributionSpec, ns: Sequence[int], m: int, seed: int) -
     width = max(ns)
 
     def run_range(r0: int, r1: int):
-        seek = _restream(seed, STREAM_SUMMANDS)
+        rows = min(_BLOCK, r1 - r0)
+        seek = _restream(seed, STREAM_SUMMANDS, rows)
+        buf = np.empty((rows, min(width, _CHUNK)), dtype=float)
         for b0 in range(r0, r1, _BLOCK):
-            b1 = min(b0 + _BLOCK, r1)
-            rows = np.empty((b1 - b0, width), dtype=float)
-            for r in range(b0, b1):
-                rows[r - b0] = spec.sample(seek(r), width)
-            for n, scale, out in zip(ns, scales, outs):
-                out[b0:b1] = scale * (_compensated_row_sums(rows[:, :n]) - n * mu)
+            block = range(b0, min(b0 + _BLOCK, r1))
+            rngs = [seek(r, slot) for slot, r in enumerate(block)]
+            parts = [[] for _ in ns]
+            for c0 in range(0, width, _CHUNK):
+                x = buf[:len(block), :min(width - c0, _CHUNK)]
+                for row, rng in zip(x, rngs):
+                    row[:] = spec.sample(rng, x.shape[1])
+                for n, part in zip(ns, parts):
+                    if n > c0:
+                        part.append(x[:, :n - c0].sum(axis=1))
+            for n, scale, part, out in zip(ns, scales, parts, outs):
+                sums = part[0] if len(part) == 1 else \
+                    np.array([math.fsum(col) for col in np.column_stack(part)])
+                out[b0:block.stop] = scale * (sums - n * mu)
 
     workers = resolve_threads()
     if workers > 1 and m >= 4 * workers:

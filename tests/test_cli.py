@@ -488,6 +488,8 @@ class TestNoRawTraceback:
         ["rate-order", "--spec", "modified-pareto", "--alpha", "1e6", "--beta", "0",
          "--B", "4"],
         ["bound", "--spec", "modified-pareto", "--beta", "3", "--A", "1e-300", "--N", "1.01"],
+        ["an-solver", "--alpha", "1.5", "--K0", "1e300", "--x0", "1.99", "--n", "1000",
+         "--beta", "4"],
     ]
     # table arguments that double precision rejects
     BAD_TABLES = [
@@ -523,6 +525,16 @@ class TestNoRawTraceback:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1
         assert "error" in json.loads(lines[0], parse_constant=reject)
+
+    def test_memory_error_is_json_error(self, monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError("cannot allocate the replicate block")
+
+        monkeypatch.setitem(cli._DISPATCH, "rate-order", exhausted)
+        assert main(["rate-order"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"error": "MemoryError", "message": "cannot allocate the replicate block"}]
 
 
 def run_fresh(code):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stable_stein._quad import panel_nodes
+from stable_stein._quad import gl_rule, panel_nodes
 from stable_stein.density import (
     QuantileTable,
     StableLaw,
@@ -276,6 +276,19 @@ class TestQuantileTable:
         us = np.linspace(1e-9, 1.0 - 1e-9, 2001)
         xs = tab(us)
         assert np.all(np.diff(xs) >= 0.0)
+
+    @pytest.mark.parametrize("m", [2000, 28500, 30000])
+    def test_cell_quantiles_in_chunks_equal_one_call(self, m):
+        # cell_quantiles evaluates 2048 cells at a time (one chunk at
+        # m = 2000, 14 or 15 at the jackknife and full sizes of m = 3e4);
+        # the bits are those of one call on every node
+        tab = quantile_table(1.5)
+        i_lo, i_hi, q, w = tab.cell_quantiles(m)
+        nodes, _ = gl_rule(4)
+        left = np.arange(i_lo - 1, i_hi) / m
+        u = left[:, None] + (1.0 / m) * 0.5 * (nodes[None, :] + 1.0)
+        assert q.shape == (i_hi - i_lo + 1, 4)
+        assert q.tobytes() == tab(u.ravel()).reshape(u.shape).tobytes()
 
     def test_cache_keyed_on_the_exact_alpha(self):
         # a nearby alpha gets its own table, not the one of a rounded key

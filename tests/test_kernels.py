@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,8 @@ from stable_stein.sampling import STREAM_SUMMANDS, substream
 from stable_stein.special import d_alpha
 
 from kernel_oracle import k_function_mc
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def equal_weight_mp(alpha, beta):
@@ -435,6 +441,16 @@ class TestKFunction:
         with pytest.raises(DomainError):
             k_function(pareto15, 1.4, 100, 0.1, 5.0)
 
+    def test_scalar_t_loads_no_numpy(self):
+        code = ("import sys\n"
+                "from stable_stein.kernels import Pareto, k_function\n"
+                "v = k_function(Pareto(1.5), 1.5, 1000, 0.3, 5.0)\n"
+                "print(type(v).__name__, 'numpy' in sys.modules)\n")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=SRC))
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.split() == ["float", "False"]
+
     @pytest.mark.parametrize("family", ["pareto15", "mp_beta4"])
     def test_array_equals_scalar_calls(self, family, request):
         # one scalar rule, mapped over the array
@@ -671,6 +687,13 @@ class TestLogTailThreshold:
         args = {"K0": 2.0, "x0": 3.0, "beta": 0.0, which: bad}
         with pytest.raises(DomainError, match="finite"):
             solve_log_tail_scale(args["K0"], args["x0"], 1.5, args["beta"], 10 ** 6)
+
+    def test_overflowing_iterate_raises(self):
+        # the iterate overflows to inf and the residual is NaN, which no
+        # tolerance comparison rejected
+        with pytest.raises(ConvergenceError) as exc:
+            solve_log_tail_scale(1e300, 1.99, 1.5, 4.0, 1000)
+        assert math.isnan(exc.value.achieved_tol) and exc.value.partial == math.inf
 
     def test_monotone_in_n(self):
         vals = [solve_log_tail_scale(2.0, 3.0, 1.5, 1.0, n).value

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from stable_stein.sampling import (
     sample_sum,
     substream,
 )
-from stable_stein.sampling import _restream
+from stable_stein.sampling import _restream, _sample_sums
 
 from reference_tables import ORACLE_ABS_MOMENT
 
@@ -50,26 +51,39 @@ class TestStreams:
         # one Philox re-keyed per replicate gives the streams substream
         # builds, whatever the previous stream left in its buffer
         for seed in (42, 2 ** 64 - 1):
-            seek = _restream(seed, STREAM_SUMMANDS)
+            seek = _restream(seed, STREAM_SUMMANDS, 1)
             for r in (0, 1, 7, 255, 256, 2 ** 48 - 1, 3):
                 want = substream(seed, STREAM_SUMMANDS, r)
-                got = seek(r)
+                got = seek(r, 0)
                 assert np.array_equal(got.random(5), want.random(5)), r
                 assert got.integers(0, 2 ** 32, dtype=np.uint32) == \
                     want.integers(0, 2 ** 32, dtype=np.uint32)
                 assert np.array_equal(got.standard_exponential(3),
                                       want.standard_exponential(3))
 
+    def test_slots_keep_their_own_streams(self):
+        # draws that take turns between slots continue each slot's stream
+        seek = _restream(42, STREAM_SUMMANDS, 3)
+        rngs = [seek(r, slot) for slot, r in enumerate((5, 0, 9))]
+        got = [np.concatenate([rng.random(3) for _ in range(4)]) for rng in rngs]
+        for r, g in zip((5, 0, 9), got):
+            assert np.array_equal(g, substream(42, STREAM_SUMMANDS, r).random(12)), r
+        # re-keying one slot leaves the others where they were
+        assert np.array_equal(seek(7, 1).random(4),
+                              substream(42, STREAM_SUMMANDS, 7).random(4))
+        assert np.array_equal(rngs[2].random(2),
+                              substream(42, STREAM_SUMMANDS, 9).random(14)[12:])
+
     def test_rekeyed_stream_domain(self):
         with pytest.raises(DomainError):
-            _restream(-1, STREAM_SUMMANDS)
+            _restream(-1, STREAM_SUMMANDS, 1)
         with pytest.raises(DomainError):
-            _restream(2 ** 64, STREAM_SUMMANDS)
-        seek = _restream(42, STREAM_SUMMANDS)
+            _restream(2 ** 64, STREAM_SUMMANDS, 1)
+        seek = _restream(42, STREAM_SUMMANDS, 1)
         with pytest.raises(DomainError):
-            seek(2 ** 48)
+            seek(2 ** 48, 0)
         with pytest.raises(DomainError):
-            seek(-1)
+            seek(-1, 0)
         with pytest.raises(DomainError):
             substream(42, STREAM_SUMMANDS, 2 ** 48)
 
@@ -166,6 +180,51 @@ class TestSampleSum:
     def test_validation(self, pareto15):
         with pytest.raises(DomainError):
             sample_sum(pareto15, 0, 100, seed=0)
+
+
+def whole_row_sums(spec, n, m, seed):
+    """Sorted S_n from whole-row draws: each row summed in 32768-column parts,
+    the one part's plain sum or the exact fsum of several parts."""
+    scale = spec.ell(n) ** (-1.0 / spec.alpha)
+    out = []
+    for r in range(m):
+        row = spec.sample(substream(seed, STREAM_SUMMANDS, r), n)
+        parts = [row[i:i + 32768].sum() for i in range(0, n, 32768)]
+        total = parts[0] if len(parts) == 1 else math.fsum(parts)
+        out.append(scale * (total - n * spec.mean))
+    return np.sort(out)
+
+
+class TestSlicedDraws:
+    """A block of replicates draws its rows slice by slice into one buffer."""
+
+    NS = [100, 32768, 32769, 70001]     # one slice, a full slice, just over, three
+
+    @pytest.mark.parametrize("family", ["pareto15", "mp_beta4", "hall", "log_pareto"])
+    def test_bits_equal_whole_rows(self, family, request, monkeypatch):
+        spec = request.getfixturevalue(family)
+        want = [whole_row_sums(spec, n, 70, 11) for n in self.NS]
+        for threads in ("1", "2"):
+            monkeypatch.setenv("STABLE_STEIN_THREADS", threads)
+            for n, w in zip(self.NS, want):
+                assert sample_sum(spec, n, 70, 11).values.tobytes() == w.tobytes(), \
+                    (threads, n)
+            grid = _sample_sums(spec, self.NS, 70, 11)    # one draw at max(NS)
+            assert [b.values.tobytes() for b in grid] == [w.tobytes() for w in want], \
+                threads
+
+    def test_working_memory_does_not_grow_with_n(self, pareto15, monkeypatch):
+        # one worker's buffer is 32 x 32768 floats (8.4 MB); whole rows of
+        # n = 1e5 took about 32 MB
+        monkeypatch.setenv("STABLE_STEIN_THREADS", "1")
+        sample_sum(pareto15, 100, 40, 1)            # numpy and the law set up
+        tracemalloc.start()
+        try:
+            sample_sum(pareto15, 100_000, 40, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6, peak
 
 
 class TestIntegerCounts:
