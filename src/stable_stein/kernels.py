@@ -862,6 +862,43 @@ def _k1_rule(spec: DistributionSpec):
     return _k_quadrature if spec.k1_power_terms is None else _k_closed_two_term
 
 
+_GAUSS3 = ((-math.sqrt(0.6), 5.0 / 9.0), (0.0, 8.0 / 9.0), (math.sqrt(0.6), 5.0 / 9.0))
+_PROBE_MARGIN = 1e-5
+
+
+def _k1_table(zt, grid: list) -> list:
+    """K1(p) = p zt(p) - N zt(N) + int_p^N zt(s) ds at every point p of the
+    increasing ``grid``, whose last point is N: the 3-point Gauss rule on
+    each panel of the grid in w = log s (at most 0.07 wide between probes,
+    good to about 1e-11 of the scale), summed from N down."""
+    logs, top = [math.log(p) for p in grid], grid[-1] * zt(grid[-1])
+    out, acc = [0.0] * len(grid), 0.0
+    for i in range(len(grid) - 2, -1, -1):
+        c, h = 0.5 * (logs[i] + logs[i + 1]), 0.5 * (logs[i + 1] - logs[i])
+        for x, wt in _GAUSS3:
+            acc += h * wt * zt(math.exp(c + h * x)) * math.exp(c + h * x)
+        out[i] = max(grid[i] * zt(grid[i]) - top + acc, 0.0)
+    return out
+
+
+def _probe_values(spec, n: int, sgn: float, probes: list, kinks: list, a_kal, signed):
+    """A value with the sign of signed(p) = a_kal(p) - n K1(sgn p) at every
+    probe p of one side.  When the law's K1 rule is the nested quadrature,
+    K1 comes from one ``_k1_table`` over the probes and ``kinks``, and
+    signed(p) runs only where |a_kal - n K1| <= _PROBE_MARGIN (|a_kal| + n K1).
+    The table's gap to the nested rule (that rule's own error) stays under a
+    fifth of the margin (tests/test_kernels.py), so every sign is the rule's.
+    """
+    if _k1_rule(spec) is not _k_quadrature:
+        return [signed(p) for p in probes]
+    zt = _one_sided_tail(spec, sgn, spec.ell(n) ** (1.0 / spec.alpha), spec.mean)
+    grid = sorted(set(probes).union(kinks))
+    table = dict(zip(grid, _k1_table(zt, grid)))
+    pairs = [(a_kal(p), n * table[p]) for p in probes]
+    return [a - k if abs(a - k) > _PROBE_MARGIN * (abs(a) + k) else signed(p)
+            for p, (a, k) in zip(probes, pairs)]
+
+
 def k_function(spec: DistributionSpec, alpha: float, n: int, t, N: float):
     """Truncated K function of one normalized summand, the law's scalar
     rule (``_k1_rule``) mapped over t."""
@@ -884,7 +921,9 @@ def _discrepancy_quadrature(spec: DistributionSpec, n: int, N: float) -> float:
 
     The integrable singularity at t = 0 is handled analytically: K1 is
     constant on the support gap (symmetric laws), where the crossing point
-    of alpha Kal with that constant has a closed form.
+    of alpha Kal with that constant has a closed form.  Every value (the
+    sign roots, the pieces, the gap and the stub) uses the law's K1 rule;
+    only the probe signs may come from a K1 table (``_probe_values``).
     """
     import numpy as np
 
@@ -911,7 +950,8 @@ def _discrepancy_quadrature(spec: DistributionSpec, n: int, N: float) -> float:
         """int_lo^N |alpha Kal(t) - n K1(sgn t)| dt, integrated in log space.
 
         The substitution t = e^w removes the t^{1-alpha} dynamic range.  Sign
-        changes of the difference are bracketed on a probe grid; the signed
+        changes of the difference are bracketed on a probe grid, signed by
+        ``_probe_values`` (a K1 table outside a margin of zero); the signed
         difference is then integrated piecewise between breakpoints (sign
         roots plus structural kinks of K1), each piece being smooth and of
         one sign, and |piece values| are summed.
@@ -922,19 +962,19 @@ def _discrepancy_quadrature(spec: DistributionSpec, n: int, N: float) -> float:
         def signed(t):
             return diff(sgn * t)
 
-        probes = np.geomspace(lo, N, 400)
-        vals = np.sign([signed(p) for p in probes])
-        cuts = set()
+        # kinks/jumps of K1: where the scaled argument crosses the
+        # tail-model threshold, the support edge, or the origin
+        kinks = [p for p in _one_sided_kinks(spec, sgn, root, mu) + [-sgn * mu / root]
+                 if lo < p < N]
+        probes = np.geomspace(lo, N, 400).tolist()
+        vals = np.sign(_probe_values(spec, n, sgn, probes, kinks, a_kal, signed))
+        cuts = set(kinks)
         for i in range(len(probes) - 1):
             if vals[i] != vals[i + 1] and vals[i] != 0 and vals[i + 1] != 0:
                 try:
                     cuts.add(brentq(signed, probes[i], probes[i + 1], xtol=1e-14))
                 except ValueError:
                     pass
-        # kinks/jumps of K1: where the scaled argument crosses the
-        # tail-model threshold, the support edge, or the origin
-        kinks = _one_sided_kinks(spec, sgn, root, mu) + [-sgn * mu / root]
-        cuts.update(p for p in kinks if lo < p < N)
         edges = [lo] + sorted(cuts) + [N]
         total_val = 0.0
         total_err = 0.0
@@ -945,7 +985,7 @@ def _discrepancy_quadrature(spec: DistributionSpec, n: int, N: float) -> float:
                               math.log(a_lim), math.log(b_lim), limit=400)
             total_val += abs(piece)
             total_err += err
-        if total_err > 1e-9 + 1e-6 * abs(total_val):
+        if not total_err <= 1e-9 + 1e-6 * abs(total_val):     # a NaN fails too
             raise ConvergenceError(
                 f"discrepancy quadrature reached only {total_err:.2e}",
                 partial=total_val, achieved_tol=total_err,
@@ -1022,8 +1062,8 @@ def solve_log_tail_scale(K0: float, x0: float, alpha: float, beta: float,
     """Solve A^alpha = K0 n (log A)^beta for the norming threshold A_n.
 
     beta = 0 is closed form.  Otherwise a fixed-point iteration
-    A <- (K0 n (log A)^beta)^{1/alpha} runs to relative step 1e-14 and the
-    equation residual is verified; failure raises with the iterate trace.
+    A <- (K0 n (log A)^beta)^{1/alpha} stops at relative step 1e-14 or at
+    a non-finite iterate; a residual above 1e-10 raises with the trace.
     A non-finite K0, x0 or beta raises DomainError, as does K0 <= 0.
     """
     if not (0.0 < K0 < math.inf):
@@ -1047,7 +1087,7 @@ def solve_log_tail_scale(K0: float, x0: float, alpha: float, beta: float,
         nxt = (K0 * n * math.log(a) ** beta) ** (1.0 / alpha)
         nxt = max(nxt, floor * (1.0 + 1e-12))
         trace.append(nxt)
-        if abs(nxt - a) <= 1e-14 * a:
+        if abs(nxt - a) <= 1e-14 * a or not math.isfinite(nxt):
             a = nxt
             break
         a = nxt

@@ -477,19 +477,26 @@ class TestNoRawTraceback:
     """Non-finite law parameters, and arithmetic that overflows or divides by
     zero, end in one strict-JSON error object, never in a traceback."""
 
+    # (argv, exit code): 1 for a numeric failure, 2 for a usage error
     ARGVS = [
-        ["bound", "--spec", "modified-pareto", "--beta", "4", "--A", "nan", "--B", "1"],
-        ["bound", "--spec", "hall", "--c", "5", "--A", "1e-300", "--B", "nan", "--n", "1"],
-        ["bound", "--spec", "modified-pareto", "--beta", "inf"],
-        ["bound", "--spec", "log-pareto", "--alpha", "1.99", "--K0", "-1", "--beta", "5",
-         "--n", "1000", "--N", "1.99"],
-        ["rate-order", "--spec", "log-pareto", "--K0", "1e300", "--x0", "nan", "--beta", "1e6"],
-        ["density", "--alpha", "1e-300", "--xmax", "0", "--step", "1"],
-        ["rate-order", "--spec", "modified-pareto", "--alpha", "1e6", "--beta", "0",
-         "--B", "4"],
-        ["bound", "--spec", "modified-pareto", "--beta", "3", "--A", "1e-300", "--N", "1.01"],
-        ["an-solver", "--alpha", "1.5", "--K0", "1e300", "--x0", "1.99", "--n", "1000",
-         "--beta", "4"],
+        (["bound", "--spec", "modified-pareto", "--beta", "4", "--A", "nan", "--B", "1"], 1),
+        (["bound", "--spec", "hall", "--c", "5", "--A", "1e-300", "--B", "nan", "--n", "1"], 1),
+        (["bound", "--spec", "modified-pareto", "--beta", "inf"], 1),
+        (["bound", "--spec", "log-pareto", "--alpha", "1.99", "--K0", "-1", "--beta", "5",
+          "--n", "1000", "--N", "1.99"], 1),
+        (["rate-order", "--spec", "log-pareto", "--K0", "1e300", "--x0", "nan", "--beta",
+          "1e6"], 1),
+        (["density", "--alpha", "1e-300", "--xmax", "0", "--step", "1"], 1),
+        (["rate-order", "--spec", "modified-pareto", "--alpha", "1e6", "--beta", "0",
+          "--B", "4"], 1),
+        (["bound", "--spec", "modified-pareto", "--beta", "3", "--A", "1e-300", "--N",
+          "1.01"], 1),
+        (["an-solver", "--alpha", "1.5", "--K0", "1e300", "--x0", "1.99", "--n", "1000",
+          "--beta", "4"], 1),
+        (["bound", "--spec", "nosuch"], 2),
+        (["bound", "--n", "abc"], 2),
+        (["density", "--alpha", "1.5", "--xmax", "5", "--step", "0"], 2),
+        (["simulate", "--seed", "-1"], 2),
     ]
     # table arguments that double precision rejects
     BAD_TABLES = [
@@ -498,7 +505,7 @@ class TestNoRawTraceback:
         ["table3", "--gamma-grid", "1.5"],
         ["constants", "--alpha-grid", "2.5"],
     ]
-    ARGVS += [argv + ["--precision", "extended"] for argv in BAD_TABLES]
+    ARGVS += [(argv + ["--precision", "extended"], 1) for argv in BAD_TABLES]
 
     @pytest.mark.parametrize("argv", BAD_TABLES, ids=" ".join)
     def test_extended_precision_rejects_as_double_does(self, argv, capsys):
@@ -511,13 +518,14 @@ class TestNoRawTraceback:
         assert out["double"][0] == 1
         assert json.loads(out["double"][1])["error"] == "DomainError"
 
-    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
-    def test_json_error_object(self, argv, capsys):
+    @pytest.mark.parametrize("argv, expected", [
+        pytest.param(argv, code, id=" ".join(argv)) for argv, code in ARGVS])
+    def test_json_error_object(self, argv, expected, capsys):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-        assert code in (1, 2)
+        assert code == expected
 
         def reject(name):
             raise AssertionError(f"non-strict JSON constant {name}")
@@ -720,6 +728,21 @@ class TestNumpyOnFirstUse:
         # figure1 included: no scalar command imports a thread pool
         assert out["threads"] is False
         assert out["arrays"] == [0] * len(self.ARRAY_COMMANDS) and out["numpy"] is True
+
+    def test_log_pareto_bound_loads_no_polynomial_module(self):
+        # its discrepancy quadrature writes out its 3-point Gauss rule
+        # instead of calling gl_rule, which loads numpy.polynomial
+        argv = self.ARRAY_COMMANDS[-1]
+        r = run_fresh(f"""
+            import contextlib, io, json, sys
+            import stable_stein.cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = stable_stein.cli.main({argv!r})
+            print(json.dumps([rc, sorted(m for m in sys.modules
+                                         if m.startswith("numpy.polynomial"))]))
+        """)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout) == [0, []]
 
 
 class TestInProcessMain:

@@ -627,6 +627,18 @@ class TestDiscrepancy:
         assert exc.value.achieved_tol == 1.2234840589907262e-08
         assert exc.value.partial == 0.006404869521762175
 
+    def test_nan_error_estimate_raises(self, monkeypatch):
+        # a NaN error estimate fails the tolerance check instead of passing it
+        import stable_stein.kernels as ker
+
+        quad_rule = ker.quad
+        monkeypatch.setattr(ker, "quad", lambda *a, **kw: (quad_rule(*a, **kw)[0], math.nan))
+        gt = GeneralTail(alpha=1.5, theta_scale=1.0, A_thresh=2.0,
+                         m1_fn=lambda x: 0.5 * x ** -2.0, m2_fn=lambda x: 0.0)
+        with pytest.raises(ConvergenceError) as exc:
+            ker._discrepancy_quadrature(gt, 100, 5.0)
+        assert math.isnan(exc.value.achieved_tol) and exc.value.partial > 0.0
+
 
 class TestGeneralTailBoundsPinned:
     """Exact values of the GeneralTail quadrature bounds; any change in the
@@ -663,6 +675,124 @@ class TestGeneralTailBoundsPinned:
                 _k_closed_two_term(mp_beta4, 100, t, 5.0)
 
 
+def per_probe_values(spec, n, sgn, probes, kinks, a_kal, signed):
+    """The probe classification without the panel table: the law's K1 rule,
+    through signed(p), at every probe (the quadrature takes their signs)."""
+    return [signed(p) for p in probes]
+
+
+class TestProbeTable:
+    """The discrepancy quadrature takes the signs of alpha Kal - n K1 at its
+    probes from one panel table of K1 per side; everything it returns keeps
+    the bits of the per-probe nested rule."""
+
+    LAWS = {
+        "general": lambda: GeneralTail(alpha=1.5, theta_scale=1.0, A_thresh=2.0,
+                                       m1_fn=lambda x: 0.5 * x ** -2.0,
+                                       m2_fn=lambda x: 0.0),
+        "general-m2": lambda: GeneralTail(alpha=1.5, theta_scale=1.0, A_thresh=2.0,
+                                          m1_fn=lambda x: 0.5 * x ** -2.0,
+                                          m2_fn=lambda x: 0.1 / x),
+        "log": lambda: LogPerturbedPareto(1.5, 1.0, x0=5.0),
+        "log-beta2": lambda: LogPerturbedPareto(1.7, 2.0, x0=4.0),
+    }
+    NS = (10, 10 ** 3, 10 ** 6)
+    TRUNCS = (0.5, 5.0, 500.0, 5000.0)
+
+    @staticmethod
+    def outcome(spec, n, N):
+        from stable_stein.kernels import _discrepancy_quadrature
+
+        try:
+            return _discrepancy_quadrature(spec, n, N)
+        except ConvergenceError as exc:
+            return ("ConvergenceError", exc.partial, exc.achieved_tol)
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_bits_equal_per_probe_reference(self, law, monkeypatch):
+        import stable_stein.kernels as ker
+
+        cells = [(n, N) for n in self.NS for N in self.TRUNCS]
+        fast = [self.outcome(self.LAWS[law](), n, N) for n, N in cells]
+        monkeypatch.setattr(ker, "_probe_values", per_probe_values)
+        reference = [self.outcome(self.LAWS[law](), n, N) for n, N in cells]
+        assert fast == reference
+        if law.startswith("general"):   # the n = 1e6 cells that miss their tolerance
+            assert sum(isinstance(v, tuple) for v in fast) >= 1
+
+    def recorded_sides(self, monkeypatch, law, n, N):
+        """Every ``_probe_values`` call of one discrepancy: its arguments and
+        the values it returned."""
+        import stable_stein.kernels as ker
+
+        calls, probe_values = [], ker._probe_values
+
+        def record(*args):
+            calls.append((args, probe_values(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(ker, "_probe_values", record)
+        spec = self.LAWS[law]()
+        self.outcome(spec, n, N)
+        monkeypatch.undo()
+        return spec, calls
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_table_agrees_with_nested_rule_at_probes(self, law, monkeypatch):
+        # The gap is the nested rule's own error (its quad stops at an
+        # absolute 1.49e-8; the table matches a tight reference, see below).
+        # The largest, 1.12e-6 of the scale, is at log-beta2, n = 1e6,
+        # N = 5000: a fifth of the margin leaves about 9x headroom there.
+        import stable_stein.kernels as ker
+
+        for N in self.TRUNCS:
+            _, calls = self.recorded_sides(monkeypatch, law, 10 ** 6, N)
+            assert calls
+            for (_, _, _, probes, _, a_kal, signed), values in calls:
+                for p, value in zip(probes, values):
+                    nested = signed(p)
+                    scale = abs(a_kal(p)) + (a_kal(p) - nested)
+                    assert abs(value - nested) <= 0.2 * ker._PROBE_MARGIN * scale
+
+    @pytest.mark.parametrize("law", ["general", "log-beta2"])
+    def test_table_matches_tight_reference(self, law, monkeypatch):
+        import stable_stein.kernels as ker
+
+        N = 5000.0
+        spec, calls = self.recorded_sides(monkeypatch, law, 10 ** 6, N)
+        for (_, n, sgn, probes, kinks, a_kal, _), _ in calls:
+            zt = ker._one_sided_tail(spec, sgn, spec.ell(n) ** (1.0 / spec.alpha), spec.mean)
+            grid = sorted(set(probes).union(kinks))
+            table = dict(zip(grid, ker._k1_table(zt, grid)))
+            for p in probes[::40]:      # the 3-point rule's error is about 1e-11
+                cuts = [math.log(k) for k in kinks if p < k]
+                ref = p * zt(p) - N * zt(N) + quad(
+                    lambda w: zt(math.exp(w)) * math.exp(w), math.log(p), math.log(N),
+                    points=cuts or None, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+                assert abs(table[p] - ref) <= 1e-10 * (abs(a_kal(p)) / n + ref)
+
+    def test_probe_in_margin_band_runs_nested_rule(self):
+        import stable_stein.kernels as ker
+
+        spec, n, N = self.LAWS["general"](), 1000, 5.0
+        zt = ker._one_sided_tail(spec, 1.0, spec.ell(n) ** (1.0 / spec.alpha), spec.mean)
+        probes = np.geomspace(N * 1e-12, N, 400).tolist()
+        table = dict(zip(probes, ker._k1_table(zt, probes)))
+        band = probes[200]
+        nested = []
+
+        def a_kal(p):       # on the table's value at one probe, far above elsewhere
+            return n * table[p] * (1.0 + 0.5 * ker._PROBE_MARGIN) if p == band else 1e9
+
+        def signed(p):
+            nested.append(p)
+            return -1.0
+
+        signs = np.sign(ker._probe_values(spec, n, 1.0, probes, [], a_kal, signed))
+        assert nested == [band]
+        assert signs[200] == -1.0 and (np.delete(signs, 200) == 1.0).all()
+
+
 class TestLogTailThreshold:
     def test_closed_form_beta_zero(self):
         sol = solve_log_tail_scale(2.0, 3.0, 1.5, 0.0, 10 ** 6)
@@ -690,10 +820,11 @@ class TestLogTailThreshold:
 
     def test_overflowing_iterate_raises(self):
         # the iterate overflows to inf and the residual is NaN, which no
-        # tolerance comparison rejected
+        # tolerance comparison rejected; the iteration stops at that iterate
         with pytest.raises(ConvergenceError) as exc:
             solve_log_tail_scale(1e300, 1.99, 1.5, 4.0, 1000)
         assert math.isnan(exc.value.achieved_tol) and exc.value.partial == math.inf
+        assert len(exc.value.trace) == 2 and exc.value.trace[-1] == math.inf
 
     def test_monotone_in_n(self):
         vals = [solve_log_tail_scale(2.0, 3.0, 1.5, 1.0, n).value
