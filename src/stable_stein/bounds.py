@@ -30,9 +30,9 @@ For the plain power law at N = inf the whole bound collapses to the closed form
                     + alpha D_{alpha,gamma}/(alpha-gamma)
                       (2 d_alpha/alpha)^{gamma/alpha} n^{-gamma/alpha},
 
-which regenerates the reference bound table at n = 10^6.  The extended
-precision mirror ``highprec.hp_pareto_bound_total`` implements this formula;
-the double-precision table takes every cell from ``bound_main``.
+which regenerates the reference bound table at n = 10^6.  The 50-digit
+test oracle ``hp_pareto_bound_total`` in ``tests/highprec.py`` implements
+this formula; the table takes every cell from ``bound_main``.
 
 N = inf is a first-class value: it is accepted exactly when every term has a
 finite analytic limit (plain power law always; the two-term family only for

@@ -9,8 +9,7 @@ Conventions
 -----------
 * stdout carries machine-readable output only; progress and diagnostics go
   to stderr.  Each subcommand accepts only the --format it emits (CSV or
-  JSON; rate-fit emits either) and --precision extended only where it is
-  read (constants, table3).  Likewise each --spec accepts only the law
+  JSON; rate-fit emits either).  Likewise each --spec accepts only the law
   flags it reads.
 * every run echoes its resolved configuration to stderr as one line
   ``CONFIG {json}``; saving that object to a file and re-running with
@@ -177,25 +176,14 @@ def build_spec(args) -> object:
 def cmd_constants(args):
     alphas = args.alpha_grid
     gammas = args.gamma_grid
-    extended = args.precision == "extended"
     lines = []
-    # each double table first, as in cmd_table3
     if args.table in ("1", "both"):
-        row = bnd.constants_table_d(alphas)
-        if extended:
-            from .highprec import hp_D_alpha
-
-            row = [float(hp_D_alpha(a)) for a in alphas]
         lines.append("alpha," + ",".join(_fmt(a) for a in alphas))
-        lines.append("D_alpha," + ",".join(_fmt(v) for v in row))
+        lines.append("D_alpha," + ",".join(_fmt(v) for v in bnd.constants_table_d(alphas)))
     if args.table == "both":
         lines.append("")
     if args.table in ("2", "both"):
         grid = bnd.constants_table_dgamma(alphas, gammas)
-        if extended:
-            from .highprec import hp_D_alpha_gamma
-
-            grid = [[float(hp_D_alpha_gamma(a, g)) for a in alphas] for g in gammas]
         lines.append("gamma," + ",".join(_fmt(a) for a in alphas))
         for g, row in zip(gammas, grid):
             lines.append(_fmt(g) + "," + ",".join(_fmt(v) for v in row))
@@ -203,14 +191,7 @@ def cmd_constants(args):
 
 
 def cmd_table3(args):
-    n = int(args.n)
-    # the double grid first: its checks reject what the mirror would take
-    grid = bnd.pareto_bound_table(n, args.alpha_grid, args.gamma_grid)
-    if args.precision == "extended":
-        from .highprec import hp_pareto_bound_total
-
-        grid = [[float(hp_pareto_bound_total(a, g, n)) for a in args.alpha_grid]
-                for g in args.gamma_grid]
+    grid = bnd.pareto_bound_table(int(args.n), args.alpha_grid, args.gamma_grid)
     lines = ["gamma," + ",".join(_fmt(a) for a in args.alpha_grid)]
     for g, row in zip(args.gamma_grid, grid):
         lines.append(_fmt(g) + "," + ",".join(_fmt(v) for v in row))
@@ -324,12 +305,11 @@ def cmd_an_solver(args):
 # parser and dispatch
 # ---------------------------------------------------------------------------
 
-def _add_common(p, formats=("csv",), precisions=("double",)):
-    """Flags every subcommand takes; ``formats`` and ``precisions`` are the
-    values it honours, so any other value is a usage error."""
+def _add_common(p, formats=("csv",)):
+    """Flags every subcommand takes; ``formats`` are the values of --format
+    it honours, so any other value is a usage error."""
     p.add_argument("--format", choices=formats, default=None)
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    p.add_argument("--precision", choices=precisions, default="double")
     p.add_argument("--config", default=None, help="JSON file with flag defaults")
 
 
@@ -362,13 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-grid", type=_parse_grid, default=DEFAULT_ALPHAS)
     p.add_argument("--gamma-grid", type=_parse_grid, default=DEFAULT_GAMMAS)
     p.add_argument("--table", choices=["1", "2", "both"], default="both")
-    _add_common(p, precisions=("double", "extended"))
+    _add_common(p)
 
     p = sub.add_parser("table3", help="power-law bound totals on the gamma x alpha grid")
     p.add_argument("--n", type=_parse_count, default=10 ** 6)
     p.add_argument("--alpha-grid", type=_parse_grid, default=DEFAULT_ALPHAS)
     p.add_argument("--gamma-grid", type=_parse_grid, default=DEFAULT_GAMMAS)
-    _add_common(p, precisions=("double", "extended"))
+    _add_common(p)
 
     p = sub.add_parser("figure1", help="optimal gamma curves for the four reference cases")
     p.add_argument("--n", type=_parse_count, default=10 ** 6)

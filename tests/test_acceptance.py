@@ -21,7 +21,6 @@ from stable_stein.bounds import (
     rate_order,
 )
 from stable_stein.density import StableLaw, density, verify_hk_bounds
-from stable_stein.highprec import hp_pareto_bound_total
 from stable_stein.kernels import (
     LogPerturbedPareto,
     Pareto,
@@ -33,9 +32,11 @@ from stable_stein.sampling import (
     sample_stable,
     substream,
 )
-from stable_stein.special import D_alpha, D_alpha_gamma, d_alpha, d_alpha_quadrature
+from stable_stein.special import D_alpha, D_alpha_gamma, d_alpha
 
 from bound_slope import bound_total_slope
+from d_alpha_oracle import d_alpha_quadrature
+from highprec import hp_pareto_bound_total
 from kernel_oracle import k_function_mc
 from reference_tables import (
     ALPHAS,

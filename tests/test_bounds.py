@@ -19,7 +19,6 @@ from stable_stein.bounds import (
     rate_order,
 )
 from stable_stein.errors import DomainError
-from stable_stein.highprec import hp_pareto_bound_total
 from stable_stein.kernels import (
     GeneralTail,
     HallTransform,
@@ -30,6 +29,7 @@ from stable_stein.kernels import (
 from stable_stein.special import D_alpha, D_alpha_gamma, d_alpha
 
 from bound_slope import bound_total_slope
+from highprec import hp_pareto_bound_total
 from reference_tables import BOUND_ANCHOR_CELLS
 
 

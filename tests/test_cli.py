@@ -90,7 +90,7 @@ class TestBoundCommand:
         assert obj["N"] == "inf"
         assert set(obj["terms"]) == {"discrepancy", "truncation", "N_term", "gamma_term"}
         # total for the plain power law at gamma = 0.9, n = 1e6
-        from stable_stein.highprec import hp_pareto_bound_total
+        from highprec import hp_pareto_bound_total
 
         assert obj["total"] == pytest.approx(float(hp_pareto_bound_total(1.5, 0.9, 10 ** 6)))
 
@@ -388,9 +388,9 @@ class TestOutPath:
         assert not (tmp_path / "no").exists()
 
 
-class TestFormatAndPrecision:
-    """Each subcommand accepts only the --format it emits and --precision
-    extended only where it is read."""
+class TestFormat:
+    """Each subcommand accepts only the --format it emits; no subcommand
+    takes --precision."""
 
     @pytest.mark.parametrize("argv", [
         ("density", "--format", "json"),
@@ -403,6 +403,12 @@ class TestFormatAndPrecision:
         ("bound", "--precision", "extended"),
         ("density", "--precision", "extended"),
         ("rate-fit", "--precision", "extended"),
+        ("constants", "--precision", "extended"),
+        ("table3", "--precision", "double"),
+        ("figure1", "--precision", "double"),
+        ("simulate", "--precision", "double"),
+        ("rate-order", "--precision", "double"),
+        ("an-solver", "--precision", "double", "--K0", "2", "--x0", "3"),
     ])
     def test_ignored_value_is_usage_error(self, argv):
         r = run_cli(*argv)
@@ -414,7 +420,7 @@ class TestFormatAndPrecision:
     def test_honoured_values_accepted(self, capsys):
         assert main(["density", "--format", "csv", "--xmax", "1", "--step", "1"]) == 0
         assert capsys.readouterr().out.startswith("x,p,cdf\n")
-        assert main(["bound", "--format", "json", "--precision", "double"]) == 0
+        assert main(["bound", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["N"] == "inf"
         fit = ["rate-fit", "--n-grid", "100,200,400,800", "--m", "300", "--seed", "1"]
         assert main(fit + ["--format", "csv"]) == 0
@@ -438,7 +444,7 @@ class TestFormatAndPrecision:
         first = capsys.readouterr()
         cfg_line = [l for l in first.err.splitlines() if l.startswith("CONFIG ")][0]
         cfg = json.loads(cfg_line[len("CONFIG "):])
-        assert cfg["precision"] == "double" and cfg["format"] is None
+        assert "precision" not in cfg and cfg["format"] is None
         path = tmp_path / "cfg.json"
         path.write_text(cfg_line[len("CONFIG "):])
         assert main(["--config", str(path)]) == 0
@@ -497,30 +503,20 @@ class TestNoRawTraceback:
         (["bound", "--n", "abc"], 2),
         (["density", "--alpha", "1.5", "--xmax", "5", "--step", "0"], 2),
         (["simulate", "--seed", "-1"], 2),
+        # table arguments outside the constants' domain
+        (["table3", "--alpha-grid", "2.5,1.5", "--gamma-grid", "0.5"], 1),
+        (["table3", "--alpha-grid", "1.0"], 1),
+        (["table3", "--gamma-grid", "1.5"], 1),
+        (["constants", "--alpha-grid", "2.5"], 1),
+        # a CONFIG echo saved by an older version, which still names
+        # --precision
+        (["--config", "config_with_precision.json"], 2),
     ]
-    # table arguments that double precision rejects
-    BAD_TABLES = [
-        ["table3", "--alpha-grid", "2.5,1.5", "--gamma-grid", "0.5"],
-        ["table3", "--alpha-grid", "1.0"],
-        ["table3", "--gamma-grid", "1.5"],
-        ["constants", "--alpha-grid", "2.5"],
-    ]
-    ARGVS += [(argv + ["--precision", "extended"], 1) for argv in BAD_TABLES]
-
-    @pytest.mark.parametrize("argv", BAD_TABLES, ids=" ".join)
-    def test_extended_precision_rejects_as_double_does(self, argv, capsys):
-        # the mirror runs only on a grid the double-precision checks passed
-        out = {}
-        for precision in ("double", "extended"):
-            code = main(argv + ["--precision", precision])
-            out[precision] = (code, capsys.readouterr().out)
-        assert out["extended"] == out["double"]
-        assert out["double"][0] == 1
-        assert json.loads(out["double"][1])["error"] == "DomainError"
 
     @pytest.mark.parametrize("argv, expected", [
         pytest.param(argv, code, id=" ".join(argv)) for argv, code in ARGVS])
-    def test_json_error_object(self, argv, expected, capsys):
+    def test_json_error_object(self, argv, expected, capsys, monkeypatch):
+        monkeypatch.chdir(Path(__file__).parent)    # where the --config file is
         try:
             code = main(argv)
         except SystemExit as exc:

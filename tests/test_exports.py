@@ -1,6 +1,6 @@
 """Every exported name resolves: each module's ``__all__``, the package and
 the names the benchmark's tracer wraps; no module of the package imports
-scipy, and none imports numpy when it loads."""
+scipy or mpmath, and none imports numpy when it loads."""
 
 import ast
 import importlib
@@ -12,7 +12,7 @@ import pytest
 
 import stable_stein
 
-MODULES = ("bounds", "density", "highprec", "kernels", "sampling", "special")
+MODULES = ("bounds", "density", "kernels", "sampling", "special")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -39,7 +39,7 @@ def _package_imports(load_time_only=False):
     all but the ones inside a function body."""
     src = Path(stable_stein.__file__).parent
     paths = sorted(src.glob("*.py"))
-    assert len(paths) >= 10
+    assert len(paths) >= 9
     found = []
     for path in paths:
         stack = [ast.parse(path.read_text(), filename=str(path))]
@@ -63,6 +63,13 @@ def test_no_module_imports_scipy():
     # run the commands, this catches an import on a path they do not reach
     assert [where for where, name in _package_imports()
             if name.split(".")[0] == "scipy"] == []
+
+
+def test_no_module_imports_mpmath():
+    # mpmath is the 50-digit oracle of the tests only (tests/highprec.py):
+    # numpy is the one runtime dependency
+    assert [where for where, name in _package_imports()
+            if name.split(".")[0] == "mpmath"] == []
 
 
 def test_no_module_imports_numpy_when_it_loads():

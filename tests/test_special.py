@@ -14,10 +14,11 @@ from stable_stein.special import (
     D_alpha_gamma,
     beta_fn,
     d_alpha,
-    d_alpha_quadrature,
     gamma_fn,
 )
 
+from d_alpha_oracle import d_alpha_quadrature
+from highprec import hp_D_alpha, hp_D_alpha_gamma, hp_d_alpha
 from reference_tables import (
     ALPHAS,
     GAMMAS,
@@ -167,6 +168,15 @@ class TestBoundConstants:
             for ai, alpha in enumerate(ALPHAS):
                 val = D_alpha_gamma(alpha, gamma)
                 assert abs(val - TABLE_DGAMMA[gi][ai]) <= 0.02, (alpha, gamma)
+
+    def test_against_50_digit_mirror(self):
+        # all three are within about 3e-15 of the mirror on this grid
+        for alpha in ALPHAS:
+            assert d_alpha(alpha) == pytest.approx(float(hp_d_alpha(alpha)), rel=1e-13)
+            assert D_alpha(alpha) == pytest.approx(float(hp_D_alpha(alpha)), rel=1e-13)
+            for gamma in GAMMAS:
+                assert D_alpha_gamma(alpha, gamma) == pytest.approx(
+                    float(hp_D_alpha_gamma(alpha, gamma)), rel=1e-13), (alpha, gamma)
 
     def test_monotone_in_alpha(self):
         vals = [D_alpha(a) for a in ALPHAS]
