@@ -173,19 +173,34 @@ class DistributionSpec:
         """The x >= 0 with P(|xi| > x) = v, for each v of an array."""
         raise NotImplementedError
 
-    def ppf(self, u):
+    def _ppf_in_place(self, u):
+        """ppf written over u, a float array, and returned."""
         import numpy as np
 
         # one fold per draw, and no data-dependent branch: v = 2 min(u, 1-u)
         # and the sign of u - 1/2 pick the same operands as the two-sided
-        # formula, bit for bit
-        u = np.asarray(u, dtype=float)
-        v = 2.0 * np.minimum(u, 1.0 - u)
-        out = np.copysign(self._isf_abs(v), u - 0.5)
+        # formula, bit for bit.  _isf_abs may overwrite v; on a 0-d u, v is
+        # a numpy scalar, so one draw keeps the scalar power's bits
+        v = np.minimum(u, 1.0 - u)
+        v *= 2.0
+        x = self._isf_abs(v)
+        u -= 0.5
+        return np.copysign(x, u, out=u)
+
+    def ppf(self, u):
+        import numpy as np
+
+        out = self._ppf_in_place(np.array(u, dtype=float))   # a copy: u stays
         return out if out.ndim else float(out)
 
     def sample(self, rng, size=None):
         return self.ppf(rng.random(size))
+
+    def _sample_rows(self, rngs, x):
+        """Row i of the float block x gets what ``sample(rngs[i], x.shape[1])`` would."""
+        for row, rng in zip(x, rngs):
+            rng.random(out=row)
+        self._ppf_in_place(x)
 
     # -- misc ---------------------------------------------------------------
     def describe(self) -> str:
@@ -310,7 +325,8 @@ class Pareto(DistributionSpec):
         return RateOrder(-(2.0 - self.alpha) / self.alpha, False)
 
     def _isf_abs(self, v):
-        return v ** (-1.0 / self.alpha)
+        v **= -1.0 / self.alpha
+        return v
 
     def describe(self) -> str:
         return f"Pareto(alpha={self.alpha})"
@@ -505,6 +521,10 @@ class HallTransform(ModifiedPareto):
         if scalar:
             return float(x[0])
         return x.reshape(size)
+
+    def _sample_rows(self, rngs, x):      # three uniforms per draw: row by row
+        for row, rng in zip(x, rngs):
+            row[:] = self.sample(rng, x.shape[1])
 
     def describe(self) -> str:
         return f"HallTransform(a={self.a}, b={self.b}, c={self.c}, alpha={self.alpha})"

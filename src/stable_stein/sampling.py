@@ -19,11 +19,12 @@ The replicate loop does not build a generator per replicate: each worker
 owns one Philox per replicate of a 32-replicate block and re-keys it (key
 as above, counter 0, empty buffer) for every replicate, which yields the
 same streams as ``substream`` at a fraction of the set-up cost.  Every
-family's ``sample`` works element by element: it draws the same first k
-values of a stream whatever the size asked for, and a second call on the
-same generator continues the stream.  So a block draws its rows in
-32768-column slices into one buffer that the worker reuses, and each
-worker holds at most 32 x 32768 floats (8.4 MB) whatever n is; and
+family samples element by element: it draws the same first k values of a
+stream whatever the size asked for, and a second call on the same
+generator continues the stream.  So a block draws its rows in 32768-column
+slices into one buffer that the worker reuses, uniforms written in place
+and transformed 32768 at a time, and each worker holds at most 32 x 32768
+floats (8.4 MB) plus one transform's temporaries whatever n is; and
 ``fit_rate`` draws each replicate once, up to the largest n of its grid,
 and sums prefixes of it for the smaller n.  The sums are bit-identical to
 whole-row draws and to separate ``sample_sum`` calls.
@@ -160,6 +161,12 @@ def resolve_threads() -> int:
     return 1
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on (all of them where affinity is unknown)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def sample_stable(alpha: float, rng: np.random.Generator, size=None):
     """Exact draws from the stable target with cf e^{-|l|^alpha}.
 
@@ -242,7 +249,7 @@ def _sample_sums(spec: DistributionSpec, ns: Sequence[int], m: int, seed: int) -
     continuing its own stream, so a worker holds at most _BLOCK x _CHUNK
     floats (8.4 MB) whatever n is.  Each n sums each slice's columns below
     it: one slice gives the plain row sum, several give the exact ``fsum``
-    of the slice sums.
+    of the slice sums.  There is at most one worker per CPU.
     """
     import numpy as np
 
@@ -264,8 +271,9 @@ def _sample_sums(spec: DistributionSpec, ns: Sequence[int], m: int, seed: int) -
             parts = [[] for _ in ns]
             for c0 in range(0, width, _CHUNK):
                 x = buf[:len(block), :min(width - c0, _CHUNK)]
-                for row, rng in zip(x, rngs):
-                    row[:] = spec.sample(rng, x.shape[1])
+                sub = max(1, _CHUNK // x.shape[1])    # in cache between passes
+                for i in range(0, len(block), sub):
+                    spec._sample_rows(rngs[i:i + sub], x[i:i + sub])
                 for n, part in zip(ns, parts):
                     if n > c0:
                         part.append(x[:, :n - c0].sum(axis=1))
@@ -274,7 +282,7 @@ def _sample_sums(spec: DistributionSpec, ns: Sequence[int], m: int, seed: int) -
                     np.array([math.fsum(col) for col in np.column_stack(part)])
                 out[b0:block.stop] = scale * (sums - n * mu)
 
-    workers = resolve_threads()
+    workers = min(resolve_threads(), _cpus())
     if workers > 1 and m >= 4 * workers:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -321,8 +329,8 @@ class EmpiricalW1Result:
     bias_floor_estimate: float = 0.0
 
 
-def _one_sample_value(sorted_vals: np.ndarray, table: QuantileTable) -> float:
-    """integral of |F_m^{-1}(u) - Q(u)| du for a sorted sample."""
+def _one_sample_value(sorted_vals: np.ndarray, table: QuantileTable, buf: np.ndarray) -> float:
+    """integral of |F_m^{-1}(u) - Q(u)| du for a sorted sample; ``buf`` takes |x - q|."""
     import numpy as np
 
     m = sorted_vals.size
@@ -333,7 +341,8 @@ def _one_sample_value(sorted_vals: np.ndarray, table: QuantileTable) -> float:
     total = 0.0
     if i_hi >= i_lo:
         vals = sorted_vals[i_lo - 1:i_hi]
-        cell = np.abs(vals[:, None] - q) @ w
+        diff = np.subtract(vals[:, None], q, out=buf[:vals.size])
+        cell = np.abs(diff, out=diff) @ w
         total += float(cell.sum())
 
     # tail cells: closed-form integration against Q(u) = +-(c/v)^{1/alpha}
@@ -382,7 +391,7 @@ def _jackknifed(stat, blocks: np.ndarray) -> tuple:
     return stat(None), [stat(blocks != j) for j in range(_JACKKNIFE_K)]
 
 
-def _bias_floors(tab: QuantileTable, seed: int, blocks: np.ndarray) -> tuple:
+def _bias_floors(tab: QuantileTable, seed: int, blocks: np.ndarray, buf: np.ndarray) -> tuple:
     """The bias floor and its delete-one-block jackknife values.
 
     The floor is the one-sample statistic on independent samples of the
@@ -397,7 +406,7 @@ def _bias_floors(tab: QuantileTable, seed: int, blocks: np.ndarray) -> tuple:
     samples = [np.sort(sample_stable(tab.alpha, substream(seed, STREAM_FLOOR_A, j), m))
                for j in range(_FLOOR_BATCHES)]
     return _jackknifed(lambda keep: float(np.median([
-        _one_sample_value(f if keep is None else f[keep], tab) for f in samples
+        _one_sample_value(f if keep is None else f[keep], tab, buf) for f in samples
     ])), blocks)
 
 
@@ -429,14 +438,15 @@ def empirical_w1(batch: SampleBatch, estimator: str = "bias_corrected") -> Empir
             lambda keep: float((d_pair if keep is None else d_pair[keep]).mean()), blocks)
     else:
         tab = quantile_table(alpha)
+        buf = np.empty((m, tab.cell_quantiles(m)[2].shape[1]))    # one per call, never shared
         if estimator == "bias_corrected":
             # the floors (see _bias_floors) come before the batch's own
             # statistic: the other order gives the same bits but a fit's peak
             # RSS rose by about 5 MB
             floor, floor_jk = _per_fit(("floors", alpha, batch.seed, m),
-                                       lambda: _bias_floors(tab, batch.seed, blocks))
+                                       lambda: _bias_floors(tab, batch.seed, blocks, buf))
         est, jk = _jackknifed(lambda keep: _one_sample_value(
-            vals if keep is None else vals[keep], tab), blocks)
+            vals if keep is None else vals[keep], tab, buf), blocks)
         if estimator == "bias_corrected":
             est = max(est - floor, 0.0)
             jk = [max(raw - f, 0.0) for raw, f in zip(jk, floor_jk)]

@@ -1,7 +1,9 @@
 """Samplers, stream discipline, the W1 estimators and the rate fit."""
 
+import concurrent.futures
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,6 +22,7 @@ from stable_stein.sampling import (
     sample_sum,
     substream,
 )
+import stable_stein.sampling as smp
 from stable_stein.sampling import _restream, _sample_sums
 
 from reference_tables import ORACLE_ABS_MOMENT
@@ -150,9 +153,40 @@ class TestSampleSum:
     def test_determinism_across_thread_counts(self, pareto15, monkeypatch):
         monkeypatch.setenv("STABLE_STEIN_THREADS", "1")
         b1 = sample_sum(pareto15, 100, 4000, seed=42)
+        monkeypatch.setattr(smp, "_cpus", lambda: 8)    # 8 workers on any host
         monkeypatch.setenv("STABLE_STEIN_THREADS", "8")
         b8 = sample_sum(pareto15, 100, 4000, seed=42)
         assert b1.values.tobytes() == b8.values.tobytes()
+
+    def test_pool_capped_at_available_cpus(self, pareto15, monkeypatch):
+        # a thread cap far above the CPU count sizes the pool by the CPUs;
+        # the stand-in pool records its size and runs the work inline, so
+        # no thread starts
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setenv("STABLE_STEIN_THREADS", "1")
+        want = sample_sum(pareto15, 100, 4000, seed=42)
+        monkeypatch.setattr(smp.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        monkeypatch.setattr(smp.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setenv("STABLE_STEIN_THREADS", "20000")
+        got = sample_sum(pareto15, 100, 4000, seed=42)
+        assert sizes == [3]
+        assert got.values.tobytes() == want.values.tobytes()
 
     def test_sorted_and_sized(self, pareto15):
         b = sample_sum(pareto15, 10, 500, seed=1)
@@ -198,7 +232,9 @@ def whole_row_sums(spec, n, m, seed):
 class TestSlicedDraws:
     """A block of replicates draws its rows slice by slice into one buffer."""
 
-    NS = [100, 32768, 32769, 70001]     # one slice, a full slice, just over, three
+    # one slice, a full slice, just over, three; at 3162 a transform pass
+    # takes 10 rows, which do not divide the 32-row block
+    NS = [100, 3162, 32768, 32769, 70001]
 
     @pytest.mark.parametrize("family", ["pareto15", "mp_beta4", "hall", "log_pareto"])
     def test_bits_equal_whole_rows(self, family, request, monkeypatch):
@@ -213,14 +249,17 @@ class TestSlicedDraws:
             assert [b.values.tobytes() for b in grid] == [w.tobytes() for w in want], \
                 threads
 
-    def test_working_memory_does_not_grow_with_n(self, pareto15, monkeypatch):
-        # one worker's buffer is 32 x 32768 floats (8.4 MB); whole rows of
-        # n = 1e5 took about 32 MB
+    @pytest.mark.parametrize("family", ["pareto15", "mp_beta4", "hall", "log_pareto"])
+    def test_working_memory_does_not_grow_with_n(self, family, request, monkeypatch):
+        # one worker's buffer is 32 x 32768 floats (8.4 MB), and the law's
+        # transform works on 32768 values at a time; whole rows of n = 1e5
+        # took about 32 MB
+        spec = request.getfixturevalue(family)
         monkeypatch.setenv("STABLE_STEIN_THREADS", "1")
-        sample_sum(pareto15, 100, 40, 1)            # numpy and the law set up
+        sample_sum(spec, 100, 40, 1)                # numpy and the law set up
         tracemalloc.start()
         try:
-            sample_sum(pareto15, 100_000, 40, 1)
+            sample_sum(spec, 100_000, 40, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -246,6 +285,7 @@ class TestIntegerCounts:
             raise AssertionError("drew before checking the counts")
 
         monkeypatch.setattr(Pareto, "sample", no_draws)
+        monkeypatch.setattr(Pareto, "_sample_rows", no_draws)
         with pytest.raises(DomainError):
             sample_sum(pareto15, n, m, 1)
 
@@ -284,6 +324,32 @@ class TestEmpiricalW1:
         floor_scale = m ** (-(1.0 - 1.0 / 1.5))
         assert ra.estimate <= 20.0 * floor_scale
         assert ra.estimate > 0.0
+
+    def test_concurrent_calls_keep_serial_bits(self, pareto15):
+        # each call has its own scratch for the statistic: two threads on
+        # different batches at once, with a short switch interval, each get
+        # the serial result
+        batches = [sample_sum(pareto15, 100, 3000, seed=1),
+                   sample_sum(pareto15, 1000, 2000, seed=2)]
+        want = [empirical_w1(b) for b in batches]
+        got = [[], []]
+
+        def run(i):
+            for _ in range(4):
+                got[i].append(empirical_w1(batches[i]))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[w] * 4 for w in want]
 
     def test_two_sample_vs_one_sample_envelopes(self, pareto15):
         m = 10 ** 4
@@ -327,13 +393,13 @@ class TestFitRate:
 
     def test_two_term_fit_draws_each_replicate_once(self, mp_beta4, monkeypatch):
         widths = []
-        real = ModifiedPareto.sample
+        real = ModifiedPareto._sample_rows
 
-        def spy(self, rng, size=None):
-            widths.append(size)
-            return real(self, rng, size)
+        def spy(self, rngs, x):
+            widths.extend([x.shape[1]] * len(rngs))
+            return real(self, rngs, x)
 
-        monkeypatch.setattr(ModifiedPareto, "sample", spy)
+        monkeypatch.setattr(ModifiedPareto, "_sample_rows", spy)
         fit_rate(mp_beta4, 1.5, [100, 200, 400, 800], 300, seed=5,
                  estimator="one_sample_quantile")
         assert widths == [800] * 300
@@ -378,6 +444,7 @@ class TestFitRate:
         monkeypatch.setenv("STABLE_STEIN_THREADS", "1")
         f1 = fit_rate(spec, 1.5, grid, 2000, seed=7,
                       estimator="one_sample_quantile")
+        monkeypatch.setattr(smp, "_cpus", lambda: threads)     # on any host
         monkeypatch.setenv("STABLE_STEIN_THREADS", str(threads))
         fk = fit_rate(spec, 1.5, grid, 2000, seed=7,
                       estimator="one_sample_quantile")
