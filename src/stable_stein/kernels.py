@@ -198,6 +198,11 @@ class DistributionSpec:
 
     def _sample_rows(self, rngs, x):
         """Row i of the float block x gets what ``sample(rngs[i], x.shape[1])`` would."""
+        cls = type(self)
+        if cls.sample is not DistributionSpec.sample or cls.ppf is not DistributionSpec.ppf:
+            for row, rng in zip(x, rngs):      # the family's own sampler
+                row[:] = self.sample(rng, x.shape[1])
+            return
         for row, rng in zip(x, rngs):
             rng.random(out=row)
         self._ppf_in_place(x)
@@ -521,10 +526,6 @@ class HallTransform(ModifiedPareto):
         if scalar:
             return float(x[0])
         return x.reshape(size)
-
-    def _sample_rows(self, rngs, x):      # three uniforms per draw: row by row
-        for row, rng in zip(x, rngs):
-            row[:] = self.sample(rng, x.shape[1])
 
     def describe(self) -> str:
         return f"HallTransform(a={self.a}, b={self.b}, c={self.c}, alpha={self.alpha})"

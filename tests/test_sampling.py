@@ -229,6 +229,34 @@ def whole_row_sums(spec, n, m, seed):
     return np.sort(out)
 
 
+class OwnSamplerPareto(Pareto):
+    """Pareto(alpha) drawn by its own ``sample``, sign then size from two
+    uniforms per draw: its bits differ from the inherited inverse CDF's."""
+
+    def sample(self, rng, size):
+        sign, v = rng.random((size, 2)).T
+        return np.copysign(v ** (-1.0 / self.alpha), sign - 0.5)
+
+
+class OwnPpfPareto(Pareto):
+    """A Pareto subclass with its own ``ppf`` (no factor 2 in the fold, the
+    sign flipped), which the shared ``sample`` draws through: its bits differ
+    from the inherited inverse CDF's."""
+
+    def ppf(self, u):
+        return np.copysign(np.minimum(u, 1.0 - u) ** (-1.0 / self.alpha), 0.5 - u)
+
+
+@pytest.fixture
+def own_sampler():
+    return OwnSamplerPareto(1.5)
+
+
+@pytest.fixture
+def own_ppf():
+    return OwnPpfPareto(1.5)
+
+
 class TestSlicedDraws:
     """A block of replicates draws its rows slice by slice into one buffer."""
 
@@ -236,7 +264,9 @@ class TestSlicedDraws:
     # takes 10 rows, which do not divide the 32-row block
     NS = [100, 3162, 32768, 32769, 70001]
 
-    @pytest.mark.parametrize("family", ["pareto15", "mp_beta4", "hall", "log_pareto"])
+    # own_sampler, own_ppf: a family that overrides sample or ppf is drawn through it
+    @pytest.mark.parametrize("family", ["pareto15", "mp_beta4", "hall", "log_pareto",
+                                        "own_sampler", "own_ppf"])
     def test_bits_equal_whole_rows(self, family, request, monkeypatch):
         spec = request.getfixturevalue(family)
         want = [whole_row_sums(spec, n, 70, 11) for n in self.NS]
