@@ -51,9 +51,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
+from ._record import Record
 from .errors import DomainError
 from .kernels import (
     DistributionSpec,
@@ -98,8 +98,7 @@ __all__ = [
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SteinBoundReport:
+class SteinBoundReport(Record):
     """One assembled bound with its term breakdown.
 
     total = D_alpha * discrepancy_term + truncation_term + N_term + gamma_term
@@ -137,7 +136,6 @@ class SteinBoundReport:
         }
 
 
-@dataclass(frozen=True)
 class Example2Report(SteinBoundReport):
     """Two-term-family bound with the case split and displayed grouping."""
 
@@ -343,7 +341,7 @@ def example2_bound(A: float, B: float, alpha: float, beta: float, gamma: float,
         leading = 2.0 * da * (
             Da * B / (A * (2.0 - beta) * alpha) + 2.0 * (alpha + 1.0) / (alpha - 1.0)
         ) * ell ** (-e_star)
-    return Example2Report(**asdict(base), case=case, q_exponent=q, leading_term=leading,
+    return Example2Report(**base._asdict(), case=case, q_exponent=q, leading_term=leading,
                           remainder_term=base.total - leading)
 
 

@@ -30,9 +30,9 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
 
 from ._quad import brentq, gl_rule, panel_nodes
+from ._record import Record
 from .errors import DomainError
 from .special import d_alpha
 
@@ -61,8 +61,7 @@ _TAIL_SWITCH = 2000.0
 _SERIES_TOL = 1e-17
 
 
-@dataclass(frozen=True)
-class StableLaw:
+class StableLaw(Record):
     """Symmetric alpha-stable law with characteristic function e^{-|l|^alpha}."""
 
     alpha: float
@@ -266,8 +265,7 @@ def quantile(law: StableLaw, u: float) -> float:
     return -x if flip else x
 
 
-@dataclass(frozen=True)
-class HeatKernelMargins:
+class HeatKernelMargins(Record):
     """Worst-case slack of the four derivative bounds over a grid.
 
     For the unit-scale density p the bounds checked are

@@ -26,10 +26,10 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ._quad import brentq, quad
+from ._record import Record
 from .errors import ConvergenceError, DomainError
 from .special import d_alpha
 
@@ -55,8 +55,7 @@ __all__ = [
 # summand laws
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RateOrder:
+class RateOrder(Record):
     """Leading decay of the bound: total ~ n^exponent (times log n when
     has_log_factor), or (log n)^exponent when in_log_n is set."""
 
@@ -66,7 +65,7 @@ class RateOrder:
     classified: bool = True
 
 
-class DistributionSpec:
+class DistributionSpec(Record):
     """Interface shared by every summand law.
 
     Concrete laws provide signed tails, the tail scale theta, the threshold
@@ -79,6 +78,9 @@ class DistributionSpec:
     ``rate_order``.  The defaults here answer "no closed form", "no default
     rule" and "unclassified", and the kernels and bounds read only these
     members, never the family's type.
+
+    A law is a frozen ``Record``: its annotated parameters, alpha first,
+    are its fields, and ``__post_init__`` checks them.
     """
 
     alpha: float
@@ -173,15 +175,19 @@ class DistributionSpec:
         """The x >= 0 with P(|xi| > x) = v, for each v of an array."""
         raise NotImplementedError
 
-    def _ppf_in_place(self, u):
-        """ppf written over u, a float array, and returned."""
+    def _ppf_in_place(self, u, v=None):
+        """ppf written over u, a float array, and returned; v, when given,
+        is a C-contiguous float scratch of u's shape that takes 2 min(u, 1-u)."""
         import numpy as np
 
         # one fold per draw, and no data-dependent branch: v = 2 min(u, 1-u)
         # and the sign of u - 1/2 pick the same operands as the two-sided
         # formula, bit for bit.  _isf_abs may overwrite v; on a 0-d u, v is
         # a numpy scalar, so one draw keeps the scalar power's bits
-        v = np.minimum(u, 1.0 - u)
+        if v is None:
+            v = np.minimum(u, 1.0 - u)
+        else:
+            np.minimum(u, np.subtract(1.0, u, out=v), out=v)
         v *= 2.0
         x = self._isf_abs(v)
         u -= 0.5
@@ -196,8 +202,10 @@ class DistributionSpec:
     def sample(self, rng, size=None):
         return self.ppf(rng.random(size))
 
-    def _sample_rows(self, rngs, x):
-        """Row i of the float block x gets what ``sample(rngs[i], x.shape[1])`` would."""
+    def _sample_rows(self, rngs, x, scratch):
+        """Row i of the float block x gets what ``sample(rngs[i], x.shape[1])``
+        would; ``scratch`` is a C-contiguous float array of x's shape that the
+        draw may overwrite."""
         cls = type(self)
         if cls.sample is not DistributionSpec.sample or cls.ppf is not DistributionSpec.ppf:
             for row, rng in zip(x, rngs):      # the family's own sampler
@@ -205,7 +213,7 @@ class DistributionSpec:
             return
         for row, rng in zip(x, rngs):
             rng.random(out=row)
-        self._ppf_in_place(x)
+        self._ppf_in_place(x, scratch)
 
     # -- misc ---------------------------------------------------------------
     def describe(self) -> str:
@@ -270,7 +278,6 @@ def check_spec_alpha(spec: DistributionSpec, alpha: float) -> None:
         raise DomainError(f"alpha={alpha} disagrees with spec alpha={spec.alpha}")
 
 
-@dataclass(frozen=True)
 class Pareto(DistributionSpec):
     """Symmetric power law: density alpha / (2 |x|^{alpha+1}) on |x| > 1."""
 
@@ -337,7 +344,6 @@ class Pareto(DistributionSpec):
         return f"Pareto(alpha={self.alpha})"
 
 
-@dataclass(frozen=True)
 class ModifiedPareto(DistributionSpec):
     """Two-term power density A/(2|x|^{1+alpha}) + B/(2|x|^{1+beta}) on |x| > 1.
 
@@ -472,7 +478,6 @@ class ModifiedPareto(DistributionSpec):
                 f"A={self.A}, B={self.B})")
 
 
-@dataclass(frozen=True, init=False)
 class HallTransform(ModifiedPareto):
     """Power transform X = sgn(Z) |Z|^{-1/alpha} of a flat-plus-power density.
 
@@ -485,12 +490,10 @@ class HallTransform(ModifiedPareto):
     2b/(c+1) and second exponent beta = alpha (c+1); in density parameters
     that is ModifiedPareto(A = alpha 2a, B = beta 2b/(c+1)), whose tails,
     moments and closed forms it inherits.  Sampling goes through Z: a
-    uniform/power mixture followed by the transform.
+    uniform/power mixture followed by the transform.  Its fields are
+    ModifiedPareto's, which its own ``__init__`` derives, then a, b, c.
     """
 
-    beta: float = field(init=False)
-    A: float = field(init=False)
-    B: float = field(init=False)
     a: float
     b: float
     c: float
@@ -531,7 +534,6 @@ class HallTransform(ModifiedPareto):
         return f"HallTransform(a={self.a}, b={self.b}, c={self.c}, alpha={self.alpha})"
 
 
-@dataclass(frozen=True)
 class LogPerturbedPareto(DistributionSpec):
     """Tail P(|xi| > x) = K0 (log x)^beta / x^alpha on x > x0, symmetric.
 
@@ -665,7 +667,6 @@ class LogPerturbedPareto(DistributionSpec):
                 f"K0={self.K0:.6g}, x0={self.x0:.6g})")
 
 
-@dataclass(frozen=True, eq=False)
 class GeneralTail(DistributionSpec):
     """Law defined by its tail model beyond a threshold.
 
@@ -685,6 +686,10 @@ class GeneralTail(DistributionSpec):
     A_thresh: float
     m1_fn: Callable[[float], float]
     m2_fn: Callable[[float], float]
+
+    # a law given by functions is compared and hashed by identity
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __post_init__(self):
         _check_finite("GeneralTail", theta_scale=self.theta_scale, A_thresh=self.A_thresh)
@@ -1071,8 +1076,7 @@ def discrepancy_l1(spec: DistributionSpec, alpha: float, n: int, N: float,
 # norming threshold of the log-perturbed family
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ThresholdSolution:
+class ThresholdSolution(Record):
     value: float
     residual: float
     iterations: tuple

@@ -73,9 +73,9 @@ import math
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._record import Record
 from .density import QuantileTable, quantile_table
 from .errors import DomainError, NonFiniteSampleError
 from .kernels import DistributionSpec, _count, check_spec_alpha
@@ -191,8 +191,7 @@ def sample_stable(alpha: float, rng: np.random.Generator, size=None):
     )
 
 
-@dataclass
-class SampleBatch:
+class SampleBatch(Record):
     """m sorted realizations of the normalized sum S_n.
 
     Bit-identical for fixed (seed, spec, n, m) independent of thread count.
@@ -247,9 +246,10 @@ def _sample_sums(spec: DistributionSpec, ns: Sequence[int], m: int, seed: int) -
     every n sums a prefix of the same row.  A block of _BLOCK replicates
     draws its rows in _CHUNK-column slices into one buffer, each replicate
     continuing its own stream, so a worker holds at most _BLOCK x _CHUNK
-    floats (8.4 MB) whatever n is.  Each n sums each slice's columns below
-    it: one slice gives the plain row sum, several give the exact ``fsum``
-    of the slice sums.  There is at most one worker per CPU.
+    floats (8.4 MB) and one _CHUNK scratch for the ppf, whatever n is.
+    Each n sums each slice's columns below it: one slice gives the plain row
+    sum, several give the exact ``fsum`` of the slice sums.  There is at
+    most one worker per CPU.
     """
     import numpy as np
 
@@ -265,6 +265,7 @@ def _sample_sums(spec: DistributionSpec, ns: Sequence[int], m: int, seed: int) -
         rows = min(_BLOCK, r1 - r0)
         seek = _restream(seed, STREAM_SUMMANDS, rows)
         buf = np.empty((rows, min(width, _CHUNK)), dtype=float)
+        scratch = np.empty(min(buf.size, _CHUNK), dtype=float)   # a sub-block's ppf fold
         for b0 in range(r0, r1, _BLOCK):
             block = range(b0, min(b0 + _BLOCK, r1))
             rngs = [seek(r, slot) for slot, r in enumerate(block)]
@@ -273,7 +274,9 @@ def _sample_sums(spec: DistributionSpec, ns: Sequence[int], m: int, seed: int) -
                 x = buf[:len(block), :min(width - c0, _CHUNK)]
                 sub = max(1, _CHUNK // x.shape[1])    # in cache between passes
                 for i in range(0, len(block), sub):
-                    spec._sample_rows(rngs[i:i + sub], x[i:i + sub])
+                    xs = x[i:i + sub]
+                    spec._sample_rows(rngs[i:i + sub], xs,
+                                      scratch[:xs.size].reshape(xs.shape))
                 for n, part in zip(ns, parts):
                     if n > c0:
                         part.append(x[:, :n - c0].sum(axis=1))
@@ -317,8 +320,7 @@ def sample_sum(spec: DistributionSpec, n: int, m: int, seed: int) -> SampleBatch
     return _sample_sums(spec, [n], m, seed)[0]
 
 
-@dataclass(frozen=True)
-class EmpiricalW1Result:
+class EmpiricalW1Result(Record):
     """An empirical W1 estimate with its uncertainty bookkeeping."""
 
     estimate: float
@@ -462,8 +464,7 @@ def empirical_w1(batch: SampleBatch, estimator: str = "bias_corrected") -> Empir
     )
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(Record):
     """Least-squares fit of log W1 against log n."""
 
     slope: float

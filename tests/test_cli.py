@@ -725,6 +725,20 @@ class TestNumpyOnFirstUse:
         assert out["threads"] is False
         assert out["arrays"] == [0] * len(self.ARRAY_COMMANDS) and out["numpy"] is True
 
+    def test_start_loads_neither_dataclasses_nor_inspect(self):
+        # the records are plain ``Record`` classes: dataclasses would load
+        # inspect (with ast, dis and tokenize) and exec methods per class
+        r = run_fresh("""
+            import json, sys
+            report = {}
+            for step in ("stable_stein", "stable_stein.cli"):
+                __import__(step)
+                report[step] = sorted({"dataclasses", "inspect"} & set(sys.modules))
+            print(json.dumps(report))
+        """)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout) == {"stable_stein": [], "stable_stein.cli": []}
+
     def test_log_pareto_bound_loads_no_polynomial_module(self):
         # its discrepancy quadrature writes out its 3-point Gauss rule
         # instead of calling gl_rule, which loads numpy.polynomial

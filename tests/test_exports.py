@@ -1,6 +1,6 @@
 """Every exported name resolves: each module's ``__all__``, the package and
 the names the benchmark's tracer wraps; no module of the package imports
-scipy or mpmath, and none imports numpy when it loads."""
+scipy, mpmath or dataclasses, and none imports numpy when it loads."""
 
 import ast
 import importlib
@@ -78,6 +78,15 @@ def test_no_module_imports_numpy_when_it_loads():
     # tests/test_cli.py); a module-level import would undo that for all
     assert [where for where, name in _package_imports(load_time_only=True)
             if name.split(".")[0] == "numpy"] == []
+
+
+def test_no_module_imports_dataclasses():
+    # the records are ``_record.Record`` classes: dataclasses would load
+    # inspect, ast and dis and exec each class's methods on every start
+    # (TestNumpyOnFirstUse.test_start_loads_neither_dataclasses_nor_inspect);
+    # inside a function too, since nothing in the package needs it
+    assert [where for where, name in _package_imports()
+            if name == "dataclasses"] == []
 
 
 def test_benchmark_hooks_resolve(monkeypatch):

@@ -1,6 +1,5 @@
 """Kernels, summand laws, K functions and the L1 discrepancy."""
 
-import dataclasses
 import math
 import os
 import subprocess
@@ -135,9 +134,13 @@ class TestSummandLaws:
         assert h.ell(100) == pytest.approx(0.6 * 1.5 / (2 * d_alpha(1.5)) * 100, rel=1e-14)
 
     def test_hall_replace_rederives_two_term_parameters(self):
-        h = dataclasses.replace(HallTransform(a=0.3, b=0.24, c=0.2, alpha=1.5), alpha=1.6)
-        # equality covers the derived beta, A and B too
-        assert h == HallTransform(a=0.3, b=0.24, c=0.2, alpha=1.6)
+        # the law at a new alpha, rebuilt from its own a, b and c: beta, A and
+        # B are derived again, and equality covers them too
+        h = HallTransform(a=0.3, b=0.24, c=0.2, alpha=1.5)
+        params = {name: value for name, value in h._asdict().items() if name in ("a", "b", "c")}
+        moved = HallTransform(**params, alpha=1.6)
+        assert moved == HallTransform(a=0.3, b=0.24, c=0.2, alpha=1.6) != h
+        assert (moved.beta, moved.A, moved.B) == pytest.approx((1.92, 0.96, 0.768), rel=1e-15)
 
     def test_hall_sampler_matches_tails(self):
         h = HallTransform(a=0.3, b=0.24, c=0.2, alpha=1.5)

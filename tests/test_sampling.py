@@ -425,9 +425,9 @@ class TestFitRate:
         widths = []
         real = ModifiedPareto._sample_rows
 
-        def spy(self, rngs, x):
+        def spy(self, rngs, x, scratch):
             widths.extend([x.shape[1]] * len(rngs))
-            return real(self, rngs, x)
+            return real(self, rngs, x, scratch)
 
         monkeypatch.setattr(ModifiedPareto, "_sample_rows", spy)
         fit_rate(mp_beta4, 1.5, [100, 200, 400, 800], 300, seed=5,
