@@ -58,7 +58,7 @@ def panel_nodes(edges, order: int = 16):
 
     edges = np.asarray(edges, dtype=float)
     x, w = gl_rule(order)
-    half = 0.5 * np.diff(edges)
+    half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[:-1] + edges[1:])
     nodes = mid[:, None] + half[:, None] * x[None, :]
     weights = half[:, None] * w[None, :]

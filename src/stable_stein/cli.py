@@ -284,13 +284,9 @@ def cmd_density(args):
 
     law = StableLaw(args.alpha)
     xs = np.arange(-args.xmax, args.xmax + args.step / 2.0, args.step)
-    lines = ["x,p,cdf"]
-    for x in xs:
-        # + 0.0 prints a grid point at -0.0 as 0
-        lines.append(",".join([
-            _fmt(float(x) + 0.0), _fmt(_density(law, float(x))), _fmt(_cdf(law, float(x))),
-        ]))
-    return lines
+    rows = zip((xs + 0.0).tolist(), _density(law, xs).tolist(), _cdf(law, xs).tolist())
+    # + 0.0 prints a grid point at -0.0 as 0
+    return ["x,p,cdf"] + [",".join(map(_fmt, row)) for row in rows]
 
 
 def cmd_an_solver(args):

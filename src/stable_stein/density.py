@@ -6,18 +6,19 @@ density, derivatives and CDF are recovered by Fourier inversion:
     p(x)   = I_0(x) / pi         I_theta(x) = int_0^inf  l^theta e^{-l^alpha} cos(l x) dl
     p'(x)  = -J_1(x) / pi        J_theta(x) = int_0^inf  l^theta e^{-l^alpha} sin(l x) dl
     p''(x) = -I_2(x) / pi
-    F(x)   = 1/2 + (1/pi) int_0^inf e^{-l^alpha} sin(l x) / l dl
+    F(x)   = 1/2 + J_{-1}(x) / pi
 
-Quadrature strategy: truncate at lambda_max = (-ln eps)^{1/alpha} with
-eps = 1e-18, align panels to half-periods of the trigonometric factor for
-large |x|, and refine dyadically toward lambda = 0 where e^{-l^alpha} has
-unbounded higher derivatives (and l^theta may be singular for theta < 0).
-The innermost stub is integrated from the local power-law expansion.
-The quantile table takes its tail knots (x > 8) from the asymptotic tail
-series of F instead, and falls back to quadrature only where the series
+Quadrature strategy: one engine, ``_fourier_integral``, for a float x or an
+array of x.  It truncates at lambda_max = (-ln eps)^{1/alpha}, eps = 1e-18,
+refines dyadically toward lambda = 0 (e^{-l^alpha} has unbounded higher
+derivatives there, and l^theta is singular for theta < 0) with the stub
+from its local power-law expansion, and beyond spans half periods of the
+trigonometric factor at the top of a ladder rung of |x|.  All x on a rung
+share its node set, so a grid is a few trig(outer(x, nodes)) products of
+at most 2^16 entries.  The quantile table's tail knots (x > 8) come from
+the asymptotic tail series of F, by quadrature only where the series
 cannot give F to the last bit (alpha near 2, x near 8).  Beyond |x| = 2000
-the density and its derivatives come from the term-wise derivatives of the
-same series, so their cost does not grow with |x|.
+F, p, p' and p'' come from that series, at a cost that does not grow.
 
 The law is the paper's target at unit scale; there is no scale parameter.
 Pure evaluation is thread-safe.  The quantile cache is built once per alpha
@@ -75,59 +76,73 @@ def _lambda_max(alpha: float) -> float:
     return _LOG_EPS ** (1.0 / alpha)
 
 
-def _inversion_edges(xabs: float, alpha: float):
-    """Panel edges on (0, lambda_max]: dyadic near 0, half-periods beyond."""
+def _node_set(xabs: float, theta: float, alpha: float):
+    """Stub a, nodes l and weights l^theta e^{-l^alpha} w of the rule on
+    (0, lambda_max] for |x| <= xabs: dyadic toward 0, then half periods."""
     import numpy as np
 
     lam_max = _lambda_max(alpha)
-    base = lam_max / 8.0
-    if xabs > 0.0:
-        base = min(base, math.pi / xabs)
-    stub = base * 2.0 ** -50
-    k = 50
-    dyadic = base / (2.0 ** np.arange(k, -1, -1))
-    dyadic[0] = stub
-    if base >= lam_max:
-        count = 1
-    else:
-        count = int(math.ceil((lam_max - base) / base))
-    rest = np.linspace(base, lam_max, count + 1)[1:]
-    return stub, np.concatenate([dyadic, rest])
+    base = min(lam_max / 8.0, math.pi / xabs) if xabs > 0.0 else lam_max / 8.0
+    count = int(math.ceil((lam_max - base) / base))
+    edges = np.empty(51 + count)
+    edges[:51] = base / (2.0 ** np.arange(50, -1, -1))
+    edges[0] = stub = base * 2.0 ** -50
+    # np.linspace(base, lam_max, count + 1)[1:], without its overhead
+    edges[51:] = np.arange(1.0, count + 1) * ((lam_max - base) / count) + base
+    edges[-1] = lam_max
+    nodes, g = panel_nodes(edges)
+    g *= np.exp(-nodes ** alpha)
+    if theta == -1.0:       # the CDF's 1/l: a division costs half a power
+        g /= nodes
+    elif theta:
+        g *= nodes ** theta
+    return stub, nodes, g
 
 
-def _fourier_integral(theta: float, x: float, alpha: float, kind: str) -> float:
-    """Core oscillatory integral over (0, inf) of l^theta e^{-l^alpha} trig(l x).
+def _fourier_integral(theta: float, x, alpha: float, kind: str):
+    """Int over (0, inf) of l^theta e^{-l^alpha} trig(l x), trig = cos or sin
+    (``kind``), at a float x or at each entry of an array x.
 
-    kind: "cos", "sin", or "sinc" (sin(l x)/l with theta treated as 0).
+    x uses the node set of rung k = ceil(K |x| / S) (k = 0 below 8 S / K),
+    laid out for |x| = k S / K, with S = ``_TAIL_SWITCH`` and K the half
+    periods of trig(l S) up to lambda_max, so its value does not depend on
+    the rest of an array.  An array uses each rung's set in products of at
+    most 2^16 entries (one row where one x needs more).
     """
     import numpy as np
 
-    xabs = abs(x)
-    stub, edges = _inversion_edges(xabs, alpha)
-    nodes, weights = panel_nodes(edges)
-    damp = np.exp(-nodes ** alpha)
-    if kind == "cos":
-        vals = nodes ** theta * damp * np.cos(nodes * x)
-    elif kind == "sin":
-        vals = nodes ** theta * damp * np.sin(nodes * x)
-    elif kind == "sinc":
-        vals = damp * np.sin(nodes * x) / nodes
-    else:  # pragma: no cover
-        raise ValueError(kind)
-    total = float(np.dot(vals, weights))
-    # stub [0, a]: local expansion e^{-l^a} trig = trig - l^alpha trig + ...
-    a = stub
-    if kind == "cos":
-        total += a ** (theta + 1.0) / (theta + 1.0) - a ** (theta + 1.0 + alpha) / (
-            theta + 1.0 + alpha
-        )
-        if x != 0.0:
-            total -= x * x * a ** (theta + 3.0) / (2.0 * (theta + 3.0))
-    elif kind == "sin":
-        total += x * a ** (theta + 2.0) / (theta + 2.0)
-    else:
-        total += x * a - x * a ** (1.0 + alpha) / (1.0 + alpha)
-    return total
+    top = math.ceil(_lambda_max(alpha) * _TAIL_SWITCH / math.pi)
+
+    def integral(x, rule):
+        a, nodes, g = rule
+        t = x * nodes if isinstance(x, float) else np.multiply.outer(x, nodes)
+        (np.cos if kind == "cos" else np.sin)(t, out=t)
+        t *= g
+        # numpy's pairwise sum of a row does not depend on the other rows
+        total = np.add.reduce(t, axis=-1)
+        # stub [0, a]: local expansion e^{-l^a} trig = trig - l^alpha trig + ...
+        if kind == "cos":
+            total = total + (a ** (theta + 1.0) / (theta + 1.0)
+                             - a ** (theta + 1.0 + alpha) / (theta + 1.0 + alpha))
+            return total - x * x * a ** (theta + 3.0) / (2.0 * (theta + 3.0))
+        return total + x * a ** (theta + 2.0) / (theta + 2.0)
+
+    if not getattr(x, "ndim", 0):
+        v = top / _TAIL_SWITCH * abs(x)
+        rung = math.ceil(v) if v > 8.0 else 0       # NaN: rung 0
+        return float(integral(x, _node_set(_TAIL_SWITCH * rung / top, theta, alpha)))
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    v = top / _TAIL_SWITCH * np.abs(flat)
+    rungs = np.where(v > 8.0, np.ceil(v), 0.0)
+    out = np.empty(flat.size)
+    for rung in np.unique(rungs).tolist():
+        at = np.flatnonzero(rungs == rung)
+        shared = _node_set(_TAIL_SWITCH * int(rung) / top, theta, alpha)
+        step = max(1, 2 ** 16 // shared[1].size)
+        for a in range(0, at.size, step):
+            out[at[a:a + step]] = integral(flat[at[a:a + step]], shared)
+    return out.reshape(x.shape)
 
 
 def _check_osc(who: str, theta: float, alpha: float) -> None:
@@ -137,7 +152,7 @@ def _check_osc(who: str, theta: float, alpha: float) -> None:
         raise DomainError(f"{who} requires alpha in (0, 2), got {alpha}")
 
 
-def osc_integral_I(theta: float, x: float, alpha: float) -> float:
+def osc_integral_I(theta: float, x, alpha: float):
     """I_theta(x) = int_0^inf l^theta e^{-l^alpha} cos(l x) dl, theta > -1.
 
     Satisfies |I_theta(x)| <= Gamma((theta+1)/alpha)/alpha for all x.
@@ -146,30 +161,56 @@ def osc_integral_I(theta: float, x: float, alpha: float) -> float:
     return _fourier_integral(theta, x, alpha, "cos")
 
 
-def osc_integral_J(theta: float, x: float, alpha: float) -> float:
+def osc_integral_J(theta: float, x, alpha: float):
     """J_theta(x) = int_0^inf l^theta e^{-l^alpha} sin(l x) dl, theta > -1."""
     _check_osc("osc_integral_J", theta, alpha)
     return _fourier_integral(theta, x, alpha, "sin")
 
 
-def _density1(x: float, alpha: float, order: int = 0) -> float:
-    """p, p' or p'' (order 0, 1, 2) of the unit-scale law at x: the tail
-    series beyond ``_TAIL_SWITCH``, else the inversion p = I_0(x)/pi,
-    p' = -J_1(x)/pi, p'' = -I_2(x)/pi."""
-    if abs(x) > _TAIL_SWITCH:
-        return _tail_density(x, alpha, order)
-    if order == 1:
-        return -_fourier_integral(1.0, x, alpha, "sin") / math.pi
-    val = _fourier_integral(float(order), abs(x), alpha, "cos") / math.pi
-    return -val if order else val
+def _by_region(x, near, far):
+    """near(x) to |x| = ``_TAIL_SWITCH`` (an array's at once), far(x) beyond."""
+    import numpy as np
+
+    if not getattr(x, "ndim", 0):
+        return far(x) if abs(x) > _TAIL_SWITCH else near(x)
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    outer = np.abs(x) > _TAIL_SWITCH        # NaN is near: the engine gives NaN
+    if not outer.all():
+        out[~outer] = near(x[~outer])
+    out[outer] = [far(v) for v in x[outer].tolist()]
+    return out
 
 
-def _cdf1(x: float, alpha: float) -> float:
-    if abs(x) > _TAIL_SWITCH:
-        tail = _tail_series(abs(x), alpha)
-        return 1.0 - tail if x > 0 else tail
-    val = 0.5 + _fourier_integral(0.0, x, alpha, "sinc") / math.pi
-    return min(1.0, max(0.0, val))
+def _density1(x, alpha: float, order: int = 0):
+    """p, p' or p'' (order 0, 1, 2) at a float or an array x: p = I_0(x)/pi,
+    p' = -J_1(x)/pi, p'' = -I_2(x)/pi; beyond the switch, p^(order) =
+    -F_bar^(order + 1) (p is symmetric) from the tail series, whose work
+    does not grow with |x|; the value is 0 at +-inf."""
+
+    def near(v):
+        if order == 1:
+            return -_fourier_integral(1.0, v, alpha, "sin") / math.pi
+        val = _fourier_integral(float(order), abs(v), alpha, "cos") / math.pi
+        return -val if order else val
+
+    def far(v):
+        val = _tail_series(abs(v), alpha, order + 1) * abs(v) ** -(order + 1)
+        return -val if order == 1 and v > 0 else val
+
+    return _by_region(x, near, far)
+
+
+def _cdf1(x, alpha: float):
+    """F at a float or an array x: 1/2 + J_{-1}(x)/pi in [0, 1], the tail
+    series beyond the switch."""
+
+    def near(v):
+        val = 0.5 + _fourier_integral(-1.0, v, alpha, "sin") / math.pi
+        return min(max(val, 0.0), 1.0) if isinstance(val, float) else val.clip(0.0, 1.0)
+
+    return _by_region(x, near, lambda v: (1.0 - _tail_series(v, alpha) if v > 0
+                                          else _tail_series(-v, alpha)))
 
 
 def _tail_series(x: float, alpha: float, d: int = 0) -> float | None:
@@ -207,32 +248,20 @@ def _tail_series(x: float, alpha: float, d: int = 0) -> float | None:
     return total
 
 
-def _tail_density(x: float, alpha: float, order: int) -> float:
-    """p, p' or p'' (order 0, 1, 2) at |x| > ``_TAIL_SWITCH``, from
-    p^(order) = -F_bar^(order + 1) and the symmetry of p.
-
-    There the series always reaches its tolerance, so the work does not
-    grow with |x|; the value underflows to 0 far out and is 0 at +-inf.
-    """
-    xa = abs(x)
-    val = _tail_series(xa, alpha, order + 1) * xa ** -(order + 1)
-    return -val if order == 1 and x > 0 else val
-
-
-def density(law: StableLaw, x: float) -> float:
-    """Density of the law at x (positive, symmetric)."""
+def density(law: StableLaw, x):
+    """Density of the law (positive, symmetric) at a float or an array x."""
     return _density1(x, law.alpha)
 
 
-def density_deriv(law: StableLaw, x: float, order: int) -> float:
-    """First or second derivative of the density at x."""
+def density_deriv(law: StableLaw, x, order: int):
+    """First or second derivative of the density at a float or an array x."""
     if order not in (1, 2):
         raise DomainError(f"density_deriv order must be 1 or 2, got {order}")
     return _density1(x, law.alpha, order)
 
 
-def cdf(law: StableLaw, x: float) -> float:
-    """Distribution function of the law at x."""
+def cdf(law: StableLaw, x):
+    """Distribution function of the law at a float or an array x."""
     return _cdf1(x, law.alpha)
 
 
@@ -282,12 +311,7 @@ class HeatKernelMargins(Record):
     deriv2_quadratic: float
 
     def worst(self) -> float:
-        return min(
-            self.deriv1_uniform,
-            self.deriv1_quadratic,
-            self.deriv2_uniform,
-            self.deriv2_quadratic,
-        )
+        return min(self._astuple())
 
 
 def verify_hk_bounds(alpha: float, x_grid) -> HeatKernelMargins:
@@ -297,23 +321,16 @@ def verify_hk_bounds(alpha: float, x_grid) -> HeatKernelMargins:
     if not (1.0 < alpha < 2.0):
         raise DomainError(f"verify_hk_bounds requires alpha in (1, 2), got {alpha}")
     xs = np.asarray(list(x_grid), dtype=float)
-    if not np.all(np.isfinite(xs)):
-        raise DomainError("x_grid must contain finite points")
-    b1 = 1.0 / (alpha * math.pi)
-    b3 = 2.0 / (alpha * math.pi)
-    m1 = math.inf
-    m2 = math.inf
-    m3 = math.inf
-    m4 = math.inf
-    for x in xs:
-        p1 = abs(_density1(float(x), alpha, 1))
-        p2 = abs(_density1(float(x), alpha, 2))
-        m1 = min(m1, b1 - p1)
-        m3 = min(m3, b3 - p2)
-        if x != 0.0:
-            m2 = min(m2, (2.0 * alpha + 1.0) / (math.pi * x * x) - p1)
-            m4 = min(m4, (2.0 * alpha + 6.0) / (math.pi * x * x) - p2)
-    return HeatKernelMargins(m1, m2, m3, m4)
+    if not (xs.size and np.all(np.isfinite(xs))):
+        raise DomainError("x_grid must contain finite points, at least one")
+    p1, p2 = np.abs(_density1(xs, alpha, 1)), np.abs(_density1(xs, alpha, 2))
+    off = xs != 0.0
+    pxx = math.pi * xs[off] * xs[off]
+    return HeatKernelMargins(
+        float(1.0 / (alpha * math.pi) - p1.max()),
+        float(np.min((2.0 * alpha + 1.0) / pxx - p1[off], initial=math.inf)),
+        float(2.0 / (alpha * math.pi) - p2.max()),
+        float(np.min((2.0 * alpha + 6.0) / pxx - p2[off], initial=math.inf)))
 
 
 class _Pchip:
@@ -421,11 +438,11 @@ class QuantileTable:
         core = np.arange(0.0, 8.0 + 0.02 / 2, 0.02)
         tail = np.geomspace(8.0 * 1.05, _TAIL_SWITCH, 260)
         xs = np.concatenate([core, tail])
-        fs = [_cdf1(float(x), alpha) for x in core]
-        for x in tail:      # the tail series, or quadrature where it falls short
-            f_bar = _tail_series(float(x), alpha)
-            fs.append(_cdf1(float(x), alpha) if f_bar is None else 1.0 - f_bar)
-        fs = np.array(fs)
+        # one inversion for the core knots and where the series falls short
+        f_bar = np.array([_tail_series(x, alpha) for x in tail.tolist()], dtype=float)
+        fs = np.concatenate([np.full(core.size, math.nan), 1.0 - f_bar])
+        short = np.isnan(fs)
+        fs[short] = _cdf1(xs[short], alpha)
         keep = np.concatenate([[True], np.diff(fs) > 0.0])
         xs, fs = xs[keep], fs[keep]
         self.u_hi = float(fs[-1])

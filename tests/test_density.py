@@ -204,6 +204,76 @@ class TestFarTail:
         assert cdf(law, math.inf) == 1.0 and cdf(law, -math.inf) == 0.0
 
 
+class TestArrayCalls:
+    """An array of x goes through the same engine as a float x, on node sets
+    shared by the points of a rung."""
+
+    GRID = np.concatenate([np.linspace(-2400.0, 2400.0, 97), np.linspace(-9.0, 9.0, 73),
+                           [2000.0, -2000.0, np.nextafter(2000.0, 3000.0), 0.0, -0.0]])
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    def test_array_equals_one_point_calls(self, alpha):
+        law = StableLaw(alpha)
+        xs = self.GRID
+        cases = [(density(law, xs), lambda x: density(law, x)),
+                 (cdf(law, xs), lambda x: cdf(law, x))]
+        cases += [(density_deriv(law, xs, k), lambda x, k=k: density_deriv(law, x, k))
+                  for k in (1, 2)]
+        for got, one in cases:
+            want = np.array([one(float(x)) for x in xs])
+            assert got.shape == xs.shape
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_shape_and_nan(self):
+        law = StableLaw(1.5)
+        xs = np.array([[0.5, np.nan], [-3000.0, 1.0]])
+        p, f = density(law, xs), cdf(law, xs)
+        assert p.shape == f.shape == (2, 2)
+        assert np.isnan(p[0, 1]) and np.isnan(f[0, 1])
+        assert p[0, 0] == pytest.approx(density(law, 0.5), abs=1e-15)
+        assert f[1, 0] == cdf(law, -3000.0)
+
+    def test_far_array_never_reaches_the_engine(self, monkeypatch):
+        # an array with no entry up to |x| = 2000 makes no engine call, not
+        # even one with an empty array
+        den = sys.modules["stable_stein.density"]
+
+        def refuse(*args):
+            raise AssertionError("Fourier inversion beyond the tail switch")
+
+        monkeypatch.setattr(den, "_fourier_integral", refuse)
+        xs = np.array([-1e6, 2500.0, math.inf])
+        for got in (density(StableLaw(1.5), xs), cdf(StableLaw(1.5), xs),
+                    density_deriv(StableLaw(1.5), xs, 2)):
+            assert got.shape == (3,) and np.all(np.isfinite(got))
+
+    def test_scalar_cdf_at_nan_is_nan(self):
+        # a clamp to [0, 1] must not turn NaN into 0
+        assert math.isnan(cdf(StableLaw(1.5), math.nan))
+        assert math.isnan(density(StableLaw(1.5), math.nan))
+
+    @pytest.mark.parametrize("lo,hi", [(-1000.0, 1000.0), (99.0, 100.0)])
+    def test_engine_scratch_does_not_grow_with_the_grid(self, lo, hi):
+        # 2000 points in one call.  Up to |x| = 1000 a node set has up to
+        # 62000 nodes, whose temporaries take a few MiB; one product over
+        # all the points would take 2000 x 62000 doubles (about 1 GB).  On
+        # [99, 100] about 500 points share each node set of 6900 nodes, so
+        # only the 2^16-entry cap on a product keeps each under 512 KiB
+        # (26 MiB without it)
+        import tracemalloc
+
+        den = sys.modules["stable_stein.density"]
+        xs = np.linspace(lo, hi, 2000)
+        tracemalloc.start()
+        try:
+            out = den._fourier_integral(0.0, xs, 1.5, "cos")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(out))
+        assert peak < 16 * 2 ** 20
+
+
 class TestHeatKernelBounds:
     def test_margins_small_grid(self):
         rep = verify_hk_bounds(1.5, [-20.0, -5.0, -1.0, -0.5, 0.0, 0.5, 1.0, 5.0, 20.0])
@@ -217,6 +287,11 @@ class TestHeatKernelBounds:
     def test_zero_point(self):
         law = StableLaw(1.9)
         assert abs(density_deriv(law, 0.0, 1)) <= 1.0 / (1.9 * math.pi)
+
+    def test_empty_grid(self):
+        # no point checked is not a bound that holds
+        with pytest.raises(DomainError):
+            verify_hk_bounds(1.5, [])
 
     @pytest.mark.parametrize("alpha", [1.1, 1.3, 1.5, 1.7, 1.9])
     def test_all_alphas_coarse(self, alpha):
@@ -402,21 +477,23 @@ class TestTailKnots:
     @pytest.mark.parametrize("alpha,series_only", [(1.5, True), (1.99, False)])
     def test_quadrature_only_where_the_series_falls_short(self, alpha, series_only,
                                                            monkeypatch):
+        # counts the x values handed to the inversion engine, in one call
         den = sys.modules["stable_stein.density"]
-        calls = []
-        real = den._cdf1
+        seen = []
+        real = den._fourier_integral
 
-        def counting(x, alpha):
-            calls.append(x)
-            return real(x, alpha)
+        def counting(theta, x, alpha, kind):
+            seen.append(np.size(x))
+            return real(theta, x, alpha, kind)
 
-        monkeypatch.setattr(den, "_cdf1", counting)
+        monkeypatch.setattr(den, "_fourier_integral", counting)
         QuantileTable(alpha)
         core = 401                          # x = 0, 0.02, ..., 8
+        assert len(seen) == 1
         if series_only:
-            assert len(calls) == core
+            assert seen[0] == core
         else:
-            assert len(calls) > core
+            assert seen[0] > core
 
     @pytest.mark.parametrize("alpha", [1.01, 1.1, 1.5, 1.9])
     def test_series_against_mpmath(self, alpha):

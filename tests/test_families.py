@@ -179,10 +179,10 @@ EXPECTED = {
     'hall/describe': "'HallTransform(a=0.3, b=0.24, c=0.2, alpha=1.5)'",
     'hall/discrepancy_l1/N=50.0': '0.7381821240783646',
     'hall/discrepancy_l1/N=inf': 'DomainError',
-    'hall/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.010423209534449918, std_error=0.06607211466771024, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.29092195703616824)",
-    'hall/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.0, std_error=0.009515479841052141, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261981)",
-    'hall/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.30134516657061816, std_error=0.04682002509140092, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
-    'hall/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.27723065166074223, std_error=0.044172611087605236, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
+    'hall/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.010423209534449418, std_error=0.06607211466771003, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.2909219570361683)",
+    'hall/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.0, std_error=0.009515479841051352, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261985)",
+    'hall/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.3013451665706177, std_error=0.04682002509140087, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
+    'hall/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.27723065166074173, std_error=0.044172611087605215, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
     'hall/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.23330582855968954, std_error=0.03418548985449466, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
     'hall/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.2908968162629458, std_error=0.07620553358131155, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
     'hall/k_function/t=-0.3': '0.0009872948901439387',
@@ -202,10 +202,10 @@ EXPECTED = {
     'log/describe': "'LogPerturbedPareto(alpha=1.5, beta=1.0, K0=6.94674, x0=5)'",
     'log/discrepancy_l1/N=50.0': '1.8135116395517856',
     'log/discrepancy_l1/N=inf': 'DomainError',
-    'log/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0, std_error=0.045346930965671106, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.29092195703616824)",
-    'log/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.35459845976867443, std_error=0.2963823669323205, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261981)",
-    'log/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.2902715609265985, std_error=0.034882258548031723, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
-    'log/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.6690983261948725, std_error=0.32801097142387253, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
+    'log/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0, std_error=0.04534693096567103, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.2909219570361683)",
+    'log/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3545984597686736, std_error=0.29638236693232056, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261985)",
+    'log/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.29027156092659817, std_error=0.03488225854803171, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
+    'log/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.6690983261948721, std_error=0.32801097142387253, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
     'log/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.221392829464439, std_error=0.024915277797356618, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
     'log/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.7028862202876329, std_error=0.37244707907272856, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
     'log/k_function/t=-0.3': '0.0008054095098456609',
@@ -224,10 +224,10 @@ EXPECTED = {
     'mp_beta1.8/describe': "'ModifiedPareto(alpha=1.5, beta=1.8, A=0.8181818181818182, B=0.8181818181818182)'",
     'mp_beta1.8/discrepancy_l1/N=50.0': '0.9213786807140458',
     'mp_beta1.8/discrepancy_l1/N=inf': 'DomainError',
-    'mp_beta1.8/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.01970552631873207, std_error=0.08305934230354643, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.29092195703616824)",
-    'mp_beta1.8/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.1697329876285562, std_error=0.171918061811445, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261981)",
-    'mp_beta1.8/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.3106274833549003, std_error=0.036011783058014814, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
-    'mp_beta1.8/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.4842328540547543, std_error=0.188860532645631, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
+    'mp_beta1.8/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.01970552631873157, std_error=0.08305934230354622, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.2909219570361683)",
+    'mp_beta1.8/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.16973298762855527, std_error=0.171918061811445, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261985)",
+    'mp_beta1.8/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.31062748335489987, std_error=0.03601178305801477, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
+    'mp_beta1.8/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.48423285405475375, std_error=0.188860532645631, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
     'mp_beta1.8/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.2638056730179643, std_error=0.032432186014597776, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
     'mp_beta1.8/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.4979462143771979, std_error=0.22827744083677862, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
     'mp_beta1.8/k_function/t=-0.3': '0.001031792029203764',
@@ -246,10 +246,10 @@ EXPECTED = {
     'mp_beta2/describe': "'ModifiedPareto(alpha=1.5, beta=2.0, A=0.8571428571428571, B=0.8571428571428571)'",
     'mp_beta2/discrepancy_l1/N=50.0': '0.38069178944453136',
     'mp_beta2/discrepancy_l1/N=inf': 'DomainError',
-    'mp_beta2/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0, std_error=0.0, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.29092195703616824)",
-    'mp_beta2/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.0654876098035087, std_error=0.10943082012880737, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261981)",
-    'mp_beta2/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.22246638386863002, std_error=0.03392626890816461, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
-    'mp_beta2/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3799874762297068, std_error=0.1832010761695439, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
+    'mp_beta2/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0, std_error=0.0, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.2909219570361683)",
+    'mp_beta2/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.06548760980350787, std_error=0.10943082012880677, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261985)",
+    'mp_beta2/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.22246638386862974, std_error=0.033926268908164685, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
+    'mp_beta2/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.37998747622970636, std_error=0.1832010761695439, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
     'mp_beta2/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.19406162991658935, std_error=0.0343514581946863, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
     'mp_beta2/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.38672445958875784, std_error=0.2239566436446689, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
     'mp_beta2/k_function/t=-0.3': '0.0009080986510125834',
@@ -268,10 +268,10 @@ EXPECTED = {
     'mp_beta4/describe': "'ModifiedPareto(alpha=1.5, beta=4.0, A=1.0909090909090908, B=1.0909090909090908)'",
     'mp_beta4/discrepancy_l1/N=50.0': '0.08164338342994998',
     'mp_beta4/discrepancy_l1/N=inf': '0.08164338372323822',
-    'mp_beta4/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0, std_error=0.025410760286717966, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.29092195703616824)",
-    'mp_beta4/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.04815149932073681, std_error=0.10049795943428133, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261981)",
-    'mp_beta4/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.2613512341625388, std_error=0.04581020336054493, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
-    'mp_beta4/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3626513657469349, std_error=0.17042117306029375, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
+    'mp_beta4/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0, std_error=0.02541076028671876, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.2909219570361683)",
+    'mp_beta4/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.04815149932073626, std_error=0.10049795943428115, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261985)",
+    'mp_beta4/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.2613512341625392, std_error=0.04581020336054505, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
+    'mp_beta4/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.36265136574693474, std_error=0.17042117306029364, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
     'mp_beta4/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.24588772738233228, std_error=0.03417547076716353, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
     'mp_beta4/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3540118068720703, std_error=0.22294652092658418, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
     'mp_beta4/k_function/t=-0.3': '0.0008249433883961264',
@@ -290,14 +290,14 @@ EXPECTED = {
     'pareto/describe': "'Pareto(alpha=1.5)'",
     'pareto/discrepancy_l1/N=50.0': '0.05873677309932276',
     'pareto/discrepancy_l1/N=inf': '0.05873677309932276',
-    'pareto/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0, std_error=0.036609594326638156, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.29092195703616824)",
-    'pareto/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.051254813658842546, std_error=0.10252169920142196, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261981)",
-    'pareto/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.2692052255098956, std_error=0.046554543254687726, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
-    'pareto/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.36575468008504064, std_error=0.17043149435044258, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
+    'pareto/empirical_w1/bias_corrected/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.0, std_error=0.036609594326638885, estimator='bias_corrected', m=2000, reference_m=2000, bias_floor_estimate=0.2909219570361683)",
+    'pareto/empirical_w1/bias_corrected/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.05125481365884199, std_error=0.1025216992014217, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.3144998664261985)",
+    'pareto/empirical_w1/one_sample_quantile/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.26920522550989606, std_error=0.04655454325468782, estimator='one_sample_quantile', m=2000, reference_m=None, bias_floor_estimate=0.0)",
+    'pareto/empirical_w1/one_sample_quantile/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3657546800850405, std_error=0.1704314943504425, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)",
     'pareto/empirical_w1/two_sample/n=100,m=2000,seed=1': "EmpiricalW1Result(estimate=0.25249848005658243, std_error=0.03403320947638641, estimator='two_sample', m=2000, reference_m=2000, bias_floor_estimate=0.0)",
     'pareto/empirical_w1/two_sample/n=1000,m=3000,seed=7': "EmpiricalW1Result(estimate=0.3540245451448456, std_error=0.22293785628841817, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)",
-    'pareto/fit_rate/bias_corrected': "RateFit(slope=-0.6549522623930412, intercept=-0.07283667142644103, per_n=(EmpiricalW1Result(estimate=0.052561018685222116, std_error=0.09367414659724362, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.2141574609714717), EmpiricalW1Result(estimate=0.0, std_error=0.017238772678936323, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.2141574609714717), EmpiricalW1Result(estimate=0.0065599204182322235, std_error=0.041443705223779555, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.2141574609714717), EmpiricalW1Result(estimate=0.006316415752850163, std_error=0.04525546873098453, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.2141574609714717)), n_values=(100, 316, 1000, 3162), dropped=((316, 'non-positive corrected estimate'),), residuals=(0.14322277982862008, -0.4296901880134998, 0.2864674081848806))",
-    'pareto/fit_rate/one_sample_quantile': "RateFit(slope=-0.043000569396839855, intercept=-1.2105466922865638, per_n=(EmpiricalW1Result(estimate=0.2667184796566938, std_error=0.07899230011481426, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0), EmpiricalW1Result(estimate=0.20456298735312564, std_error=0.03681133248183617, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0), EmpiricalW1Result(estimate=0.22071738138970393, std_error=0.040042257307812856, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0), EmpiricalW1Result(estimate=0.22047387672432187, std_error=0.04003470592357235, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)), n_values=(100, 316, 1000, 3162), dropped=(), residuals=(0.0870100723101348, -0.12883245953460132, -0.0032881105532729382, 0.04511049777774012))",
+    'pareto/fit_rate/bias_corrected': "RateFit(slope=-0.6549522623930422, intercept=-0.07283667142642652, per_n=(EmpiricalW1Result(estimate=0.052561018685222116, std_error=0.09367414659724338, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.2141574609714717), EmpiricalW1Result(estimate=0.0, std_error=0.017238772678936566, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.2141574609714717), EmpiricalW1Result(estimate=0.0065599204182324455, std_error=0.04144370522377948, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.2141574609714717), EmpiricalW1Result(estimate=0.00631641575285008, std_error=0.04525546873098427, estimator='bias_corrected', m=3000, reference_m=3000, bias_floor_estimate=0.2141574609714717)), n_values=(100, 316, 1000, 3162), dropped=((316, 'non-positive corrected estimate'),), residuals=(0.14322277982860987, -0.42969018801347314, 0.28646740818486105))",
+    'pareto/fit_rate/one_sample_quantile': "RateFit(slope=-0.04300056939684007, intercept=-1.2105466922865615, per_n=(EmpiricalW1Result(estimate=0.2667184796566938, std_error=0.0789923001148141, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0), EmpiricalW1Result(estimate=0.20456298735312597, std_error=0.03681133248183618, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0), EmpiricalW1Result(estimate=0.22071738138970415, std_error=0.040042257307812835, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0), EmpiricalW1Result(estimate=0.22047387672432178, std_error=0.040034705923572375, estimator='one_sample_quantile', m=3000, reference_m=None, bias_floor_estimate=0.0)), n_values=(100, 316, 1000, 3162), dropped=(), residuals=(0.08701007231013369, -0.12883245953460043, -0.003288110553272716, 0.045110497777739456))",
     'pareto/fit_rate/two_sample': "RateFit(slope=-0.1072250201390752, intercept=-0.7559311486505152, per_n=(EmpiricalW1Result(estimate=0.2904460400796812, std_error=0.08218200088256086, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0), EmpiricalW1Result(estimate=0.24417293134313448, std_error=0.052375975547668416, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0), EmpiricalW1Result(estimate=0.23150233842091658, std_error=0.04653987821273689, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0), EmpiricalW1Result(estimate=0.19591024819689923, std_error=0.04592445830668907, estimator='two_sample', m=3000, reference_m=3000, bias_floor_estimate=0.0)), n_values=(100, 316, 1000, 3162), dropped=(), residuals=(0.013383146208576502, -0.03678784629244691, 0.03345004321857892, -0.010045343134709395))",
     'pareto/k_function/t=-0.3': '0.0008249298131691637',
     'pareto/k_function/t=0.01': '0.005716515588598575',

@@ -3,6 +3,7 @@ immutability, equality, hashing and ``repr``."""
 
 import math
 
+import numpy as np
 import pytest
 
 from stable_stein._record import Record
@@ -16,7 +17,7 @@ from stable_stein.kernels import (
     Pareto,
     RateOrder,
 )
-from stable_stein.sampling import EmpiricalW1Result
+from stable_stein.sampling import EmpiricalW1Result, SampleBatch
 
 
 def general_tail():
@@ -104,6 +105,16 @@ class TestEquality:
         # the same parameters, but other function objects: another law
         assert gt != general_tail()
         assert len({gt, general_tail()}) == 2
+
+    def test_sample_batch_compares_by_identity(self):
+        # equal but distinct values arrays: a bool, not numpy's ValueError
+        def batch():
+            return SampleBatch(Pareto(1.5), 1, 3, 0, np.zeros(3))
+
+        one = batch()
+        assert one == one and hash(one) == hash(one)
+        assert (one == batch()) is False and one != batch()
+        assert len({one, batch()}) == 2
 
 
 class TestRepr:
